@@ -35,6 +35,16 @@ EXIT_IO = 3
 EXIT_CORRUPTION = 4
 EXIT_NONCONVERGENCE = 5
 
+# The first class an error is an instance of gives its exit code, so
+# subclasses come before their bases; ValidationError is a BiphotonError.
+EXIT_CODES = (
+    (NonConvergenceError, EXIT_NONCONVERGENCE),
+    (CorruptionError, EXIT_CORRUPTION),
+    (StreamFormatError, EXIT_CORRUPTION),
+    (BiphotonError, EXIT_VALIDATION),
+    (OSError, EXIT_IO),
+)
+
 log = logging.getLogger("biphoton")
 
 
@@ -140,9 +150,8 @@ def cmd_fit(args) -> int:
                 bin_width=meta["bin_width_ns"], dt_min=meta["dt_min_ns"],
                 dt_max=meta["dt_max_ns"], channel_a=meta["channel_a"],
                 channel_b=meta["channel_b"])
-            full_centers, full_counts = _read_histogram_csv(args.input)
             hist = CorrelationHistogram(config=hist_cfg,
-                                        counts=full_counts.astype(np.int64),
+                                        counts=counts.astype(np.int64),
                                         duration_s=meta["duration_s"],
                                         n_a=meta.get("n_a", 0), n_b=meta.get("n_b", 0))
             acc = AccidentalEstimate(g_acc, source="computed")
@@ -357,24 +366,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NonConvergenceError as exc:
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except CorruptionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CORRUPTION
-    except StreamFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CORRUPTION
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except BiphotonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -19,8 +19,7 @@ import numpy as np
 from scipy.special import erfc, erfcx
 
 from .errors import NonConvergenceError, RankDeficiencyError, ValidationError
-
-RB_D2_LINEWIDTH_MHZ = 6.065  # natural linewidth used for absorption fits
+from .metrics import RB_D2_LINEWIDTH_MHZ
 
 
 class ModelKind(enum.Enum):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 
-RB_D2_LINEWIDTH_MHZ = 6.065
+RB_D2_LINEWIDTH_MHZ = 6.065  # natural linewidth, also the absorption-fit guess
 
 
 @dataclass(frozen=True)

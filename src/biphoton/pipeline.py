@@ -1,5 +1,7 @@
 """End-to-end simulation: duty cycle -> gate windows -> emission ->
-detection -> tag stream.
+detection -> tag stream. The gate windows are one ``(n, 2)`` int64 array
+(see ``tagio.check_gates``), shared by every stage and written to the
+stream's gate table.
 
 All randomness derives from the config's root seed through a fixed
 spawn order (pairs, signal chaotic, idler chaotic, signal detector, idler
@@ -18,7 +20,7 @@ from .config import ExperimentConfig
 from .sequence import compile_duty_cycle, emit_gates
 from .simulate import (IDLER, SIGNAL, detect, generate_chaotic_gated,
                        generate_pairs, merge_batches)
-from .tagio import StreamHeader, TagStream, total_gate_time_ps
+from .tagio import StreamHeader, TagStream, merge_streams, total_gate_time_ps
 
 SIGNAL_CHANNEL = 0
 IDLER_CHANNEL = 1
@@ -66,11 +68,7 @@ def simulate_experiment(config: ExperimentConfig, config_hash: str = "") -> Simu
     stream_i = detect(emissions.select(IDLER), config.idler_detector,
                       {IDLER: IDLER_CHANNEL}, seeds["detect_idler"],
                       gates=gates, header=header)
-    times = np.concatenate([stream_s.timestamps, stream_i.timestamps])
-    channels = np.concatenate([stream_s.channels, stream_i.channels])
-    order = np.argsort(times, kind="stable")
-    stream = TagStream(channels=channels[order], timestamps=times[order],
-                       header=header, gates=gates)
+    stream = merge_streams(stream_s, stream_i)
 
     manifest = {
         "tool": "biphoton",

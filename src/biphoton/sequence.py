@@ -5,7 +5,9 @@ slot drives the digital bank, two words per slot add one 32-bit analog
 value, four words per slot use the full resources. Durations round UP to
 slot boundaries (rounding is surfaced in diagnostics); a program either
 unrolls all cycles into RAM or marks itself hardware-looped when only a
-single cycle fits.
+single cycle fits. ``emit_gates`` turns the gate channel into the
+acquisition windows every other layer uses: a sorted, disjoint ``(n, 2)``
+int64 array of half-open ``[start, end)`` ps windows.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import BudgetError, ValidationError
-from .tagio import GateWindow
 
 PS_PER_US = 1_000_000
 ANALOG_FULL_SCALE_V = 3.3
@@ -180,35 +183,24 @@ def compile_duty_cycle(spec: DutyCycleSpec, profile: HardwareProfile) -> Sequenc
                            rounding_notes=notes)
 
 
-def emit_gates(program: SequenceProgram, gate_channel: int) -> list[GateWindow]:
-    """Maximal contiguous spans where the gate bit is high, as half-open
-    ps windows on the absolute program timeline."""
+def emit_gates(program: SequenceProgram, gate_channel: int) -> np.ndarray:
+    """Maximal contiguous spans where the gate bit is high, as an ``(n, 2)``
+    int64 array of half-open ps windows on the absolute program timeline."""
     slot_ps = program.profile.effective_slot_us * PS_PER_US
     cycle_ps = len(program.slots) * slot_ps
-    spans = []
-    start = None
-    for i, slot in enumerate(program.slots):
-        high = bool(slot.digital_word >> gate_channel & 1)
-        if high and start is None:
-            start = i * slot_ps
-        elif not high and start is not None:
-            spans.append((start, i * slot_ps))
-            start = None
-    if start is not None:
-        spans.append((start, cycle_ps))
-
-    windows = []
-    for cycle in range(program.cycles):
-        base = cycle * cycle_ps
-        prev = windows[-1] if windows else None
-        for s, e in spans:
-            w = GateWindow(base + s, base + e)
-            if prev is not None and prev.end == w.start:
-                windows[-1] = GateWindow(prev.start, w.end)
-            else:
-                windows.append(w)
-            prev = windows[-1]
-    return windows
+    high = np.array([slot.digital_word >> gate_channel & 1 for slot in program.slots],
+                    dtype=np.int8)
+    edges = np.diff(high, prepend=0, append=0)
+    spans = np.stack([np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)],
+                     axis=1).astype(np.int64) * slot_ps
+    offsets = np.arange(program.cycles, dtype=np.int64) * cycle_ps
+    windows = (offsets[:, None, None] + spans).reshape(-1, 2)
+    if not len(windows):
+        return windows
+    # A span that ends at the cycle edge touches the next cycle's first span.
+    touch = windows[1:, 0] == windows[:-1, 1]
+    return np.stack([windows[np.r_[True, ~touch], 0],
+                     windows[np.r_[~touch, True], 1]], axis=1)
 
 
 def validate(program: SequenceProgram, profile: HardwareProfile) -> list[dict]:

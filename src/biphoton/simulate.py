@@ -6,6 +6,10 @@ process driven by a complex Gaussian field with Lorentzian spectrum, which
 yields the thermal-light relation g2(dt) = 1 + exp(-2|dt|/tau) without
 modelling atom-number fluctuations.
 
+Gates are the sorted, disjoint ``(n, 2)`` int64 array of half-open
+``[start, end)`` ps windows that ``tagio.check_gates`` accepts; a list of
+``(start, end)`` pairs works too.
+
 All randomness is derived from ``numpy.random.SeedSequence`` so identical
 seeds and configs reproduce bit-identical streams.
 """
@@ -19,7 +23,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import ResolutionError, ValidationError
-from .tagio import GateWindow, StreamHeader, TagStream
+from .tagio import StreamHeader, TagStream, check_gates
 
 SIGNAL = 0
 IDLER = 1
@@ -71,13 +75,6 @@ class DetectorConfig:
                 raise ValidationError("must be non-negative", field=name)
 
 
-@dataclass(frozen=True)
-class EmissionEvent:
-    time_ps: int
-    species: int  # SIGNAL or IDLER
-    pair_id: int = 0  # 0 = unpaired
-
-
 @dataclass
 class EmissionBatch:
     """Column-wise emission events, sorted by time."""
@@ -88,10 +85,6 @@ class EmissionBatch:
 
     def __len__(self):
         return len(self.times_ps)
-
-    def events(self):
-        return [EmissionEvent(int(t), int(s), int(p))
-                for t, s, p in zip(self.times_ps, self.species, self.pair_ids)]
 
     def select(self, species: int) -> "EmissionBatch":
         m = self.species == species
@@ -117,15 +110,6 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _check_gates(gates):
-    prev = None
-    for g in gates:
-        if prev is not None and g.start < prev:
-            raise ValidationError("gates must be sorted and non-overlapping",
-                                  field="gates")
-        prev = g.end
-
-
 def generate_pairs(src: SourceConfig, gates, seed) -> EmissionBatch:
     """Signal/idler pair emissions inside the gate windows.
 
@@ -133,19 +117,18 @@ def generate_pairs(src: SourceConfig, gates, seed) -> EmissionBatch:
     restricted to the gates; each idler follows its signal by an
     Exp(tau_c) delay. Paired events share a 1-based pair id.
     """
-    gates = list(gates)
-    _check_gates(gates)
+    gates = check_gates(gates)
     rng = np.random.default_rng(_seed_sequence(seed))
-    if not gates or src.pair_rate == 0:
+    if not len(gates) or src.pair_rate == 0:
         return EmissionBatch.empty()
 
-    widths_s = np.array([g.width_ps for g in gates], dtype=float) / PS_PER_S
-    counts = rng.poisson(src.pair_rate * widths_s)
+    widths_ps = (gates[:, 1] - gates[:, 0]).astype(float)
+    counts = rng.poisson(src.pair_rate * (widths_ps / PS_PER_S))
     total = int(counts.sum())
     if total == 0:
         return EmissionBatch.empty()
-    starts = np.repeat(np.array([g.start for g in gates], dtype=np.int64), counts)
-    widths = np.repeat(np.array([g.width_ps for g in gates], dtype=float), counts)
+    starts = np.repeat(gates[:, 0], counts)
+    widths = np.repeat(widths_ps, counts)
     signal_ps = starts + (rng.random(total) * widths).astype(np.int64)
     signal_ps.sort(kind="stable")
     delays_ps = rng.exponential(src.tau_c * PS_PER_NS, size=total)
@@ -231,18 +214,23 @@ def generate_chaotic_gated(src: SourceConfig, channel: str, gates, seed) -> Emis
     """Chaotic singles emitted only while a gate is open.
 
     Each gate gets an independent field realisation with a seed derived
-    from ``seed``, matching the per-cycle generation contract.
+    from ``seed``, matching the per-cycle generation contract. A channel
+    whose uncorrelated rate is 0 draws nothing, so it spawns no seeds.
     """
-    gates = list(gates)
-    _check_gates(gates)
-    parts = []
-    children = _seed_sequence(seed).spawn(len(gates))
-    for g, child in zip(gates, children):
-        parts.append(generate_chaotic(src, channel, g.width_ps / PS_PER_NS,
-                                      child, start_ps=g.start))
-    if not parts:
+    gates = check_gates(gates)
+    if not len(gates):
         return EmissionBatch.empty()
-    return merge_batches(*parts)
+    rate = src.uncorrelated_rate_s if channel == "signal" else src.uncorrelated_rate_i
+    if rate == 0:
+        # Nothing to draw; one call on the first gate keeps the channel and
+        # grid checks.
+        start, end = gates[0].tolist()
+        return generate_chaotic(src, channel, (end - start) / PS_PER_NS, seed,
+                                start_ps=start)
+    children = _seed_sequence(seed).spawn(len(gates))
+    return merge_batches(*(
+        generate_chaotic(src, channel, (end - start) / PS_PER_NS, child, start_ps=start)
+        for (start, end), child in zip(gates.tolist(), children)))
 
 
 def _dead_time_filter(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:
@@ -275,17 +263,11 @@ def detect(batch: EmissionBatch, det_by_species, channel_map, seed,
         det_by_species = {s: det_by_species for s in channel_map}
     rng = np.random.default_rng(_seed_sequence(seed))
 
-    if gates:
-        span_lo = min(g.start for g in gates)
-        span_hi = max(g.end for g in gates)
-        spans = [(g.start, g.end) for g in gates]
-    elif len(batch):
-        span_lo = int(batch.times_ps.min())
-        span_hi = int(batch.times_ps.max())
-        spans = [(span_lo, span_hi)]
-    else:
-        span_lo = span_hi = 0
-        spans = []
+    gates = check_gates(gates)
+    spans = gates
+    if not len(gates) and len(batch):
+        spans = np.array([[batch.times_ps.min(), batch.times_ps.max()]])
+    span_lo, span_hi = (int(spans[0, 0]), int(spans[-1, 1])) if len(spans) else (0, 0)
 
     out_channels = []
     out_times = []
@@ -300,9 +282,9 @@ def detect(batch: EmissionBatch, det_by_species, channel_map, seed,
             jitter = rng.standard_normal(len(times)) * sigma_ps
             np.clip(jitter, -5.0 * sigma_ps, 5.0 * sigma_ps, out=jitter)
             times = times + jitter.astype(np.int64)
-        if det.dark_rate > 0 and spans:
+        if det.dark_rate > 0 and len(spans):
             dark_parts = []
-            for lo, hi in spans:
+            for lo, hi in spans.tolist():
                 n = rng.poisson(det.dark_rate * (hi - lo) / PS_PER_S)
                 if n:
                     dark_parts.append(lo + (rng.random(n) * (hi - lo)).astype(np.int64))
@@ -321,7 +303,7 @@ def detect(batch: EmissionBatch, det_by_species, channel_map, seed,
     times = np.concatenate(out_times) if out_times else np.zeros(0, np.int64)
     order = np.argsort(times, kind="stable")
     return TagStream(channels=channels[order], timestamps=times[order],
-                     header=header or StreamHeader(), gates=list(gates or []))
+                     header=header or StreamHeader(), gates=gates)
 
 
 def split_hbt(stream: TagStream, source_channel: int, out_channels, seed) -> TagStream:

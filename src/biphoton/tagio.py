@@ -24,6 +24,10 @@ Byte layout (all little-endian):
   timestamp in ps as 7 little-endian bytes.
 
 Timestamps are non-decreasing within a stream; 2**56 ps is about 20 hours.
+
+In memory, gate windows are one sorted, disjoint ``(n, 2)`` int64 array of
+half-open ``[start, end)`` ps windows, one row per window; ``check_gates``
+builds and validates it, and the gate table on disk is its bytes as uint64.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ RECORD_SIZE = 8
 MAX_TIMESTAMP = (1 << 56) - 1
 
 _HEADER_STRUCT = struct.Struct("<8sHHIHHdQQI")
+GATE_READ_WINDOWS = 1 << 15  # gate-table windows per read: 512 KiB
 
 
 @dataclass(frozen=True)
@@ -50,20 +55,27 @@ class TimeTagRecord:
     timestamp: int  # ps since stream epoch
 
 
-@dataclass(frozen=True)
-class GateWindow:
-    """Half-open acquisition window [start, end) in ps."""
+def check_gates(gates) -> np.ndarray:
+    """Gate windows as a sorted, disjoint ``(n, 2)`` int64 array of
+    half-open ``[start, end)`` ps windows, one row per window.
 
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not self.start < self.end:
-            raise ValidationError("gate start must precede end", field="gate")
-
-    @property
-    def width_ps(self) -> int:
-        return self.end - self.start
+    Accepts any ``(n, 2)`` array-like, such as a list of ``(start, end)``
+    pairs; ``None`` or an empty sequence means no windows.
+    """
+    arr = np.asarray([] if gates is None else gates, dtype=np.int64)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValidationError("gates must be an (n, 2) array of windows",
+                              field="gates")
+    if np.any(arr < 0):
+        raise ValidationError("gate bounds must be non-negative", field="gates")
+    if np.any(arr[:, 0] >= arr[:, 1]):
+        raise ValidationError("gate start must precede end", field="gates")
+    if np.any(arr[1:, 0] < arr[:-1, 1]):
+        raise ValidationError("gate windows must be sorted and disjoint",
+                              field="gates")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -87,7 +99,10 @@ class TagStream:
     channels: np.ndarray  # uint8
     timestamps: np.ndarray  # int64 ps
     header: StreamHeader = field(default_factory=StreamHeader)
-    gates: list[GateWindow] = field(default_factory=list)
+    gates: np.ndarray | None = None  # (n, 2) int64, see check_gates
+
+    def __post_init__(self):
+        self.gates = check_gates(self.gates)
 
     def __len__(self):
         return len(self.timestamps)
@@ -98,7 +113,7 @@ class TagStream:
         channels = np.array([r.channel for r in records], dtype=np.uint8)
         timestamps = np.array([r.timestamp for r in records], dtype=np.int64)
         return cls(channels=channels, timestamps=timestamps,
-                   header=header or StreamHeader(), gates=list(gates or []))
+                   header=header or StreamHeader(), gates=gates)
 
     def records(self):
         return [TimeTagRecord(int(c), int(t))
@@ -110,15 +125,6 @@ class TagStream:
             fh.write("channel,timestamp_ps\n")
             for c, t in zip(self.channels, self.timestamps):
                 fh.write(f"{int(c)},{int(t)}\n")
-
-
-def _check_sorted_gates(gates):
-    prev_end = None
-    for g in gates:
-        if prev_end is not None and g.start < prev_end:
-            raise ValidationError("gate windows must be sorted and disjoint",
-                                  field="gates")
-        prev_end = g.end
 
 
 def _pack_header(header: StreamHeader, gate_table_offset: int) -> bytes:
@@ -144,6 +150,13 @@ def _encode_records(channels, timestamps) -> bytes:
     return words.tobytes()
 
 
+def _encode_gate_table(gates: np.ndarray) -> bytes:
+    """The gate table for checked gates, or nothing when there are none."""
+    if not len(gates):
+        return b""
+    return struct.pack("<I", len(gates)) + gates.astype("<u8").tobytes()
+
+
 def write_stream(stream_or_records, header=None, sink=None, gates=None) -> int:
     """Serialize a stream; returns the number of bytes written.
 
@@ -161,19 +174,9 @@ def write_stream(stream_or_records, header=None, sink=None, gates=None) -> int:
         header = header or StreamHeader()
         channels = np.array([r.channel for r in records], dtype=np.uint8)
         timestamps = np.array([r.timestamp for r in records], dtype=np.int64)
-    gates = list(gates or [])
-    _check_sorted_gates(gates)
-
+    table = _encode_gate_table(check_gates(gates))
     payload = _encode_records(channels, timestamps)
-    table = b""
-    table_offset = 0
-    if gates:
-        table_offset = HEADER_SIZE
-        table = struct.pack("<I", len(gates))
-        for g in gates:
-            table += struct.pack("<QQ", g.start, g.end)
-
-    blob = _pack_header(header, table_offset) + table + payload
+    blob = _pack_header(header, HEADER_SIZE if table else 0) + table + payload
     if sink is None:
         raise ValidationError("sink is required", field="sink")
     if hasattr(sink, "write"):
@@ -189,18 +192,13 @@ class StreamWriter:
 
     def __init__(self, sink, header=None, gates=None):
         self.header = header or StreamHeader()
-        self.gates = list(gates or [])
-        _check_sorted_gates(self.gates)
+        self.gates = check_gates(gates)
+        table = _encode_gate_table(self.gates)
         self._own = not hasattr(sink, "write")
         self._fh = open(sink, "wb") if self._own else sink
-        table_offset = HEADER_SIZE if self.gates else 0
-        self._fh.write(_pack_header(self.header, table_offset))
-        if self.gates:
-            self._fh.write(struct.pack("<I", len(self.gates)))
-            for g in self.gates:
-                self._fh.write(struct.pack("<QQ", g.start, g.end))
+        self._fh.write(_pack_header(self.header, HEADER_SIZE if table else 0) + table)
         self._last_ts = None
-        self.bytes_written = HEADER_SIZE + (4 + 16 * len(self.gates) if self.gates else 0)
+        self.bytes_written = HEADER_SIZE + len(table)
 
     def write(self, channels, timestamps):
         timestamps = np.ascontiguousarray(timestamps, dtype=np.int64)
@@ -242,19 +240,21 @@ def _parse_header(fh):
         raise StreamFormatError(f"unsupported stream version {version}")
     header = StreamHeader(tick_ps=tick_ps, channel_count=channel_count,
                           acquisition_seconds=acq_s, version=version)
-    gates = []
-    data_offset = HEADER_SIZE
-    if table_offset:
-        if table_offset != HEADER_SIZE:
-            raise CorruptionError("gate table offset out of place", table_offset)
-        count = struct.unpack("<I", _read_exact(fh, 4, "gate table", HEADER_SIZE))[0]
-        pos = HEADER_SIZE + 4
-        for _ in range(count):
-            start, end = struct.unpack("<QQ", _read_exact(fh, 16, "gate table", pos))
-            gates.append(GateWindow(start, end))
-            pos += 16
-        data_offset = pos
-    return header, gates, data_offset
+    if not table_offset:
+        return header, check_gates(None), HEADER_SIZE
+    if table_offset != HEADER_SIZE:
+        raise CorruptionError("gate table offset out of place", table_offset)
+    count = struct.unpack("<I", _read_exact(fh, 4, "gate table", HEADER_SIZE))[0]
+    # Bounded reads: a corrupt count fails at the end of the file, not in
+    # one allocation of up to 64 GiB.
+    pos = HEADER_SIZE + 4
+    parts = [np.zeros(0, "<i8")]
+    for first in range(0, count, GATE_READ_WINDOWS):
+        n = 16 * min(GATE_READ_WINDOWS, count - first)
+        parts.append(np.frombuffer(_read_exact(fh, n, "gate table", pos), "<i8"))
+        pos += n
+    # A u64 bound of 2**63 or more reads as negative, which check_gates rejects.
+    return header, check_gates(np.concatenate(parts).reshape(-1, 2)), pos
 
 
 def _decode_records(buf: bytes):
@@ -332,8 +332,7 @@ def gate_filter(stream_or_timestamps, gates):
     filtered copy is returned) or a timestamp array (a boolean mask is
     applied and the kept timestamps returned).
     """
-    gates = list(gates)
-    _check_sorted_gates(gates)
+    gates = check_gates(gates)
     if isinstance(stream_or_timestamps, TagStream):
         mask = _gate_mask(stream_or_timestamps.timestamps, gates)
         return replace(stream_or_timestamps,
@@ -344,19 +343,16 @@ def gate_filter(stream_or_timestamps, gates):
 
 
 def _gate_mask(timestamps, gates):
-    if not gates:
-        return np.zeros(len(timestamps), dtype=bool)
-    starts = np.array([g.start for g in gates], dtype=np.int64)
-    ends = np.array([g.end for g in gates], dtype=np.int64)
-    idx = np.searchsorted(starts, timestamps, side="right") - 1
+    idx = np.searchsorted(gates[:, 0], timestamps, side="right") - 1
     valid = idx >= 0
     mask = np.zeros(len(timestamps), dtype=bool)
-    mask[valid] = timestamps[valid] < ends[idx[valid]]
+    mask[valid] = timestamps[valid] < gates[idx[valid], 1]
     return mask
 
 
 def total_gate_time_ps(gates) -> int:
-    return sum(g.width_ps for g in gates)
+    gates = check_gates(gates)
+    return int((gates[:, 1] - gates[:, 0]).sum())
 
 
 def merge_streams(*streams: TagStream) -> TagStream:

@@ -249,7 +249,7 @@ def test_criterion_08_sequencer_budget():
     spec = DutyCycleSpec(load_duration_us=500, fwm_duration_us=200, cycles=85)
     program = compile_duty_cycle(spec, profile)
     gates = emit_gates(program, spec.gate_channel)
-    gated_ps = sum(g.width_ps for g in gates)
+    gated_ps = sum(g[1] - g[0] for g in gates)
     ok = (full.total_duration_us == 327_680
           and len(program.slots) == 35
           and gated_ps == 85 * 200 * 1_000_000)

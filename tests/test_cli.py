@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from biphoton import cli
 from biphoton.cli import main
+from biphoton.errors import (BiphotonError, CorruptionError, NonConvergenceError,
+                             StreamFormatError, ValidationError)
 
 PIPELINE_CONFIG = {
     "seed": 11,
@@ -154,6 +157,23 @@ class TestEdgeCases:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("error, code", [
+    (NonConvergenceError("fit did not converge"), 5),
+    (CorruptionError("truncated record", 56), 4),
+    (StreamFormatError("bad magic"), 4),
+    (ValidationError("bad value", field="x"), 2),
+    (BiphotonError("other toolkit error"), 2),
+    (OSError("disk full"), 3),
+])
+def test_errors_map_to_exit_codes(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_metrics", fail)
+    assert main(["metrics"]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 class TestSequenceCommand:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from biphoton.errors import BudgetError, ValidationError
@@ -77,17 +78,17 @@ class TestGates:
         gates = emit_gates(compile_duty_cycle(spec, PROFILE), spec.gate_channel)
         assert len(gates) == 3
         for i, g in enumerate(gates):
-            assert g.width_ps == 200 * PS_PER_US
-            assert g.start == (i * 700 + 500) * PS_PER_US
+            assert g[1] - g[0] == 200 * PS_PER_US
+            assert g[0] == (i * 700 + 500) * PS_PER_US
 
     def test_total_gate_time_is_exact_product(self):
         spec = DutyCycleSpec(load_duration_us=500, fwm_duration_us=200, cycles=85)
         gates = emit_gates(compile_duty_cycle(spec, PROFILE), spec.gate_channel)
-        assert sum(g.width_ps for g in gates) == 85 * 200 * PS_PER_US
+        assert sum(g[1] - g[0] for g in gates) == 85 * 200 * PS_PER_US
 
     def test_gate_always_low_yields_no_windows(self):
         program = compile_duty_cycle(SPEC, PROFILE)
-        assert emit_gates(program, 9) == []
+        assert len(emit_gates(program, 9)) == 0
 
     def test_gate_always_high_yields_one_window_per_loop(self):
         spec = DutyCycleSpec(always_on_channels=(5,), cycles=2)
@@ -95,7 +96,41 @@ class TestGates:
         gates = emit_gates(program, 5)
         # Adjacent cycles merge into one continuous span.
         assert len(gates) == 1
-        assert gates[0].width_ps == program.total_duration_us * PS_PER_US
+        assert gates[0][1] - gates[0][0] == program.total_duration_us * PS_PER_US
+
+
+def per_slot_gates(program, channel):
+    """Reference: walk every slot of the unrolled program and grow a
+    window while the gate bit stays high."""
+    slot_ps = program.profile.effective_slot_us * PS_PER_US
+    windows = []
+    for i, slot in enumerate(program.slots * program.cycles):
+        if slot.digital_word >> channel & 1:
+            if windows and windows[-1][1] == i * slot_ps:
+                windows[-1][1] += slot_ps
+            else:
+                windows.append([i * slot_ps, (i + 1) * slot_ps])
+    return windows
+
+
+def hand_built(words, cycles):
+    return SequenceProgram(slots=[Slot(w) for w in words], profile=PROFILE,
+                           cycles=cycles, hardware_looped=False)
+
+
+@pytest.mark.parametrize("program, channel", [
+    (compile_duty_cycle(DutyCycleSpec(cycles=0), PROFILE), 2),
+    (compile_duty_cycle(DutyCycleSpec(cycles=4), PROFILE), 9),  # never high
+    (compile_duty_cycle(DutyCycleSpec(always_on_channels=(5,), cycles=3),
+                        PROFILE), 5),  # always high: one window
+    (compile_duty_cycle(DutyCycleSpec(cycles=4), PROFILE), 2),  # ends at the edge
+    (hand_built([1, 0, 0, 1, 1], cycles=4), 0),  # merges across cycle edges
+    (hand_built([0, 1, 0, 1, 0], cycles=3), 0),  # two spans per cycle
+])
+def test_emit_gates_matches_per_slot_reference(program, channel):
+    gates = emit_gates(program, channel)
+    assert gates.dtype == np.int64 and gates.shape[1:] == (2,)
+    assert gates.tolist() == per_slot_gates(program, channel)
 
 
 class TestValidate:

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from biphoton import simulate
 from biphoton.config import ExperimentConfig, config_from_dict
 from biphoton.correlate import HistogramConfig, cross_correlate
 from biphoton.errors import ResolutionError, ValidationError
@@ -11,7 +12,7 @@ from biphoton.simulate import (IDLER, SIGNAL, DetectorConfig, EmissionBatch,
                                SourceConfig, detect, generate_chaotic,
                                generate_chaotic_gated, generate_pairs,
                                split_hbt)
-from biphoton.tagio import GateWindow, write_stream
+from biphoton.tagio import write_stream
 
 PS = 1000  # ps per ns
 
@@ -20,7 +21,7 @@ CHANNEL_MAP = {SIGNAL: 0, IDLER: 1}
 
 
 def one_gate(width_us):
-    return [GateWindow(0, int(width_us * 1_000_000))]
+    return [(0, int(width_us * 1_000_000))]
 
 
 class TestPairGeneration:
@@ -33,7 +34,7 @@ class TestPairGeneration:
         assert len(batch) == 0
 
     def test_pair_count_is_poisson(self):
-        gates = [GateWindow(i * 1_000_000_000, i * 1_000_000_000 + 200_000_000)
+        gates = [(i * 1_000_000_000, i * 1_000_000_000 + 200_000_000)
                  for i in range(1000)]
         batch = generate_pairs(SourceConfig(pair_rate=1e5), gates, seed=3)
         n_pairs = int((batch.species == SIGNAL).sum())
@@ -62,7 +63,7 @@ class TestPairGeneration:
         assert ids.min() >= 1
 
     def test_unsorted_gates_rejected(self):
-        gates = [GateWindow(100, 200), GateWindow(50, 90)]
+        gates = [(100, 200), (50, 90)]
         with pytest.raises(ValidationError):
             generate_pairs(SourceConfig(pair_rate=1.0), gates, 1)
 
@@ -119,14 +120,36 @@ class TestChaoticGeneration:
 
     def test_gated_variant_stays_inside_gates(self):
         src = SourceConfig(uncorrelated_rate_s=1e6, chaotic_tau_s=10.0)
-        gates = [GateWindow(0, 1_000_000), GateWindow(5_000_000, 6_500_000)]
+        gates = [(0, 1_000_000), (5_000_000, 6_500_000)]
         batch = generate_chaotic_gated(src, "signal", gates, seed=2)
         inside = np.zeros(len(batch), dtype=bool)
         for g in gates:
-            inside |= (batch.times_ps >= g.start) & (batch.times_ps < g.end)
+            inside |= (batch.times_ps >= g[0]) & (batch.times_ps < g[1])
         assert len(batch) > 0
         assert inside.all()
         assert np.all(np.diff(batch.times_ps) >= 0)
+
+    def test_zero_rate_channel_does_no_per_gate_work(self, monkeypatch):
+        calls = []
+        real = simulate.generate_chaotic
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "generate_chaotic", counting)
+        gates = [(i * 10_000_000, i * 10_000_000 + 5_000_000) for i in range(1000)]
+        batch = generate_chaotic_gated(SourceConfig(), "signal", gates, seed=1)
+        assert len(batch) == 0
+        assert len(calls) == 1
+
+    def test_zero_rate_channel_keeps_its_checks(self):
+        with pytest.raises(ResolutionError):
+            generate_chaotic_gated(SourceConfig(chaotic_grid_dt_ns=5.0), "signal",
+                                   one_gate(1), seed=1)
+        with pytest.raises(ValidationError):
+            generate_chaotic_gated(SourceConfig(), "pump", one_gate(1), seed=1)
+        assert len(generate_chaotic_gated(SourceConfig(), "pump", [], seed=1)) == 0
 
     def test_reproducible_for_same_seed(self):
         src = SourceConfig(uncorrelated_rate_s=1e6, chaotic_tau_s=10.0)
@@ -183,7 +206,7 @@ class TestDetector:
         expected = 1e6 * 10e-3
         assert abs(len(stream) - expected) < 4 * np.sqrt(expected)
         assert stream.timestamps.min() >= 0
-        assert stream.timestamps.max() <= gates[0].end
+        assert stream.timestamps.max() <= gates[0][1]
 
     def test_dead_time_drops_close_followers(self):
         batch = self.batch([0.0, 0.5, 5.0, 5.8, 9.0])

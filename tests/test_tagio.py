@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from biphoton.errors import (CorruptionError, OrderingError, StreamFormatError,
                              ValidationError)
-from biphoton.tagio import (HEADER_SIZE, MAGIC, RECORD_SIZE, GateWindow,
+from biphoton.sequence import (PS_PER_US, DutyCycleSpec, HardwareProfile,
+                               compile_duty_cycle, emit_gates)
+from biphoton.tagio import (GATE_READ_WINDOWS, HEADER_SIZE, MAGIC, RECORD_SIZE,
                             StreamHeader, StreamReader, StreamWriter, TagStream,
-                            TimeTagRecord, gate_filter, merge_streams,
+                            TimeTagRecord, check_gates, gate_filter, merge_streams,
                             read_stream, total_gate_time_ps, write_stream)
 
 
@@ -48,7 +50,7 @@ class TestGolden:
         assert stream.header.tick_ps == 1
 
     def test_gate_table_layout(self):
-        gates = [GateWindow(100, 200), GateWindow(300, 450)]
+        gates = [(100, 200), (300, 450)]
         buf = io.BytesIO()
         write_stream(TagStream.from_records(self.RECORDS, gates=gates), sink=buf)
         raw = buf.getvalue()
@@ -58,6 +60,31 @@ class TestGolden:
         assert count == 2
         assert struct.unpack_from("<QQ", raw, HEADER_SIZE + 4) == (100, 200)
         assert struct.unpack_from("<QQ", raw, HEADER_SIZE + 20) == (300, 450)
+
+    def test_reference_gate_table(self):
+        # The 85 000 gates of the acceptance reference duty cycle, against a
+        # per-window encoding of 200 us windows that open 500 us into each
+        # 700 us cycle.
+        spec = DutyCycleSpec(load_duration_us=500, fwm_duration_us=200,
+                             cycles=85_000)
+        gates = emit_gates(compile_duty_cycle(spec, HardwareProfile()),
+                           spec.gate_channel)
+        expected = struct.pack("<I", 85_000) + b"".join(
+            struct.pack("<QQ", (700 * i + 500) * PS_PER_US,
+                        (700 * i + 700) * PS_PER_US) for i in range(85_000))
+        one = io.BytesIO()
+        write_stream(TagStream.from_records(self.RECORDS, gates=gates), sink=one)
+        inc = io.BytesIO()
+        with StreamWriter(inc, gates=gates) as writer:
+            writer.write([r.channel for r in self.RECORDS],
+                         [r.timestamp for r in self.RECORDS])
+        raw = one.getvalue()
+        assert inc.getvalue() == raw
+        assert struct.unpack_from("<Q", raw, 28)[0] == HEADER_SIZE
+        assert raw[HEADER_SIZE:HEADER_SIZE + len(expected)] == expected
+        back = read_stream(io.BytesIO(raw))
+        assert np.array_equal(back.gates, gates)
+        assert back.records() == self.RECORDS
 
 
 class TestRoundTrip:
@@ -88,9 +115,9 @@ class TestRoundTrip:
         assert back.records() == records
 
     def test_gates_roundtrip(self):
-        gates = [GateWindow(0, 10), GateWindow(20, 35)]
+        gates = [(0, 10), (20, 35)]
         back = roundtrip(TagStream.from_records(self.records(), gates=gates))
-        assert back.gates == gates
+        assert np.array_equal(back.gates, gates)
 
     @staticmethod
     def records():
@@ -124,10 +151,66 @@ class TestValidation:
             read_stream(io.BytesIO(damaged))
         assert err.value.offset == HEADER_SIZE + RECORD_SIZE
 
+    @pytest.mark.parametrize("count, table_bytes, offset", [
+        (0xFFFFFFFF, 48, 100),  # a corrupt count in a 100-byte file
+        (4, 56, HEADER_SIZE + 4 + 56),  # the last window cut in half
+    ])
+    def test_truncated_gate_table_reports_offset(self, tmp_path, count,
+                                                 table_bytes, offset):
+        path = tmp_path / "table.tags"
+        path.write_bytes(self.table_header(count) + bytes(range(table_bytes)))
+        with pytest.raises(CorruptionError) as err:
+            read_stream(path)
+        assert err.value.offset == offset
+
+    def test_gate_table_is_read_in_bounded_pieces(self):
+        sizes = []
+
+        class Recording(io.BytesIO):
+            def read(self, n=-1):
+                sizes.append(n)
+                return super().read(n)
+
+        with pytest.raises(CorruptionError):
+            read_stream(Recording(self.table_header(0xFFFFFFFF) + b"\0" * 48))
+        assert 0 <= min(sizes) and max(sizes) <= 16 * GATE_READ_WINDOWS
+
+    @staticmethod
+    def table_header(count):
+        return (struct.pack("<8sHHIHHdQQI", MAGIC, 1, 0, 1, 2, 0, 0.0,
+                            HEADER_SIZE, 0, 0) + struct.pack("<I", count))
+
     def test_unsupported_version(self):
         header = struct.pack("<8sHHIHHdQQI", MAGIC, 99, 0, 1, 2, 0, 0.0, 0, 0, 0)
         with pytest.raises(StreamFormatError):
             read_stream(io.BytesIO(header))
+
+
+class TestCheckGates:
+    def test_accepts_empty_and_pairs(self):
+        assert check_gates([]).shape == (0, 2)
+        assert check_gates(None).shape == (0, 2)
+        gates = check_gates([(0, 10), (10, 25)])
+        assert gates.dtype == np.int64
+        assert gates.tolist() == [[0, 10], [10, 25]]
+
+    @pytest.mark.parametrize("gates", [
+        [(10, 10)],  # start == end
+        [(20, 10)],  # start > end
+        [(30, 40), (0, 10)],  # unsorted
+        [(0, 20), (10, 30)],  # overlapping
+        [(-5, 10)],  # negative bound
+        [(0, 10, 20)],  # not (n, 2)
+    ])
+    def test_rejects(self, gates):
+        with pytest.raises(ValidationError):
+            check_gates(gates)
+
+    def test_writers_reject_a_negative_bound(self):
+        with pytest.raises(ValidationError):
+            write_stream([TimeTagRecord(0, 5)], sink=io.BytesIO(), gates=[(-5, 10)])
+        with pytest.raises(ValidationError):
+            StreamWriter(io.BytesIO(), gates=[(-5, 10)])
 
 
 class TestStreaming:
@@ -178,11 +261,11 @@ class TestGateFilter:
 
     def test_full_span_gate_is_identity(self):
         ts = np.array([5, 10, 20], dtype=np.int64)
-        kept = gate_filter(ts, [GateWindow(0, 21)])
+        kept = gate_filter(ts, [(0, 21)])
         assert np.array_equal(kept, ts)
 
     def test_half_open_boundaries(self):
-        gates = [GateWindow(10, 20)]
+        gates = [(10, 20)]
         ts = np.array([9, 10, 19, 20], dtype=np.int64)
         kept = gate_filter(ts, gates)
         assert kept.tolist() == [10, 19]
@@ -190,7 +273,7 @@ class TestGateFilter:
     def test_idempotent(self):
         rng = np.random.default_rng(8)
         ts = np.sort(rng.integers(0, 1000, 500)).astype(np.int64)
-        gates = [GateWindow(100, 300), GateWindow(600, 900)]
+        gates = [(100, 300), (600, 900)]
         once = gate_filter(ts, gates)
         twice = gate_filter(once, gates)
         assert np.array_equal(once, twice)
@@ -198,11 +281,11 @@ class TestGateFilter:
     def test_stream_variant_filters_channels_too(self):
         stream = TagStream.from_records(
             [TimeTagRecord(0, 5), TimeTagRecord(1, 15), TimeTagRecord(0, 25)])
-        kept = gate_filter(stream, [GateWindow(10, 20)])
+        kept = gate_filter(stream, [(10, 20)])
         assert kept.records() == [TimeTagRecord(1, 15)]
 
     def test_total_gate_time(self):
-        gates = [GateWindow(0, 10), GateWindow(20, 25)]
+        gates = [(0, 10), (20, 25)]
         assert total_gate_time_ps(gates) == 15
 
 
