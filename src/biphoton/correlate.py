@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderingError, ValidationError
-from .tagio import TagStream
+from .errors import ValidationError
+from .tagio import TagStream, check_order
 
 NS_TO_PS = 1000
 
@@ -176,9 +176,7 @@ class StreamCorrelator:
         channels = np.asarray(channels)
         if len(timestamps) == 0:
             return
-        if np.any(np.diff(timestamps) < 0) or (
-                self._last_ts is not None and int(timestamps[0]) < self._last_ts):
-            raise OrderingError("stream must be sorted by timestamp")
+        check_order(timestamps, self._last_ts)
         self._last_ts = int(timestamps[-1])
 
         ta = timestamps[channels == self.config.channel_a]

@@ -11,12 +11,18 @@ Gates are the sorted, disjoint ``(n, 2)`` int64 array of half-open
 ``(start, end)`` pairs works too.
 
 All randomness is derived from ``numpy.random.SeedSequence`` so identical
-seeds and configs reproduce bit-identical streams.
+seeds and configs reproduce bit-identical streams. Each gate draws its
+chaotic field from its own child seed, so ``generate_chaotic_gated``
+synthesises gates concurrently on a thread per available CPU and the output
+does not depend on the worker count; its memory grows with the number of
+workers times the working set of one field chunk.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,18 +186,30 @@ def generate_chaotic(src: SourceConfig, channel: str, duration_ns: float, seed,
     # so the intensity x^2 + y^2 averages to 1.
     zi = rho * rng.standard_normal((2, 1)) / math.sqrt(2)
 
+    # The chunk boundaries are part of the draw order, so the chunk size is
+    # part of the seed contract; the filter block size is not.
     chunk = 1 << 20
+    block = 1 << 16
+    noise = np.empty(min(block, n_cells))
     times_out = []
     produced = 0
     while produced < n_cells:
         n = min(chunk, n_cells - produced)
-        noise = rng.standard_normal((2, n)) / math.sqrt(2)
-        quads, zi = lfilter([drive], [1.0, -rho], noise, axis=1, zi=zi)
-        intensity = quads[0] ** 2
-        intensity += quads[1] ** 2
+        # A chunk draws n normals for quadrature 0, then n for quadrature 1.
+        # Drawing and filtering them in blocks, with the filter state carried
+        # across, does the same arithmetic on the same draws as one (2, n)
+        # draw filtered along its rows, and holds one block instead.
+        intensity = np.zeros(n)
+        for q in range(2):
+            for lo in range(0, n, block):
+                x = noise[:min(block, n - lo)]
+                rng.standard_normal(out=x)
+                x /= math.sqrt(2)
+                y, zi[q] = lfilter([drive], [1.0, -rho], x, zi=zi[q])
+                intensity[lo:lo + len(y)] += np.square(y, out=y)
         # Poissonization: per-cell independent Poisson counts are equivalent
         # to one Poisson total thrown onto cells proportionally to intensity.
-        cum = np.cumsum(intensity)
+        cum = np.cumsum(intensity, out=intensity)
         total = int(rng.poisson(mean_per_cell * cum[-1]))
         if total:
             u = rng.random(total) * cum[-1]
@@ -210,12 +228,31 @@ def generate_chaotic(src: SourceConfig, channel: str, duration_ns: float, seed,
                          pair_ids=np.zeros(len(times), np.int64))
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on.
+
+    This is the affinity mask, not a cgroup CPU quota: a container limited
+    to 2 CPUs on a 64-CPU host counts 64.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def generate_chaotic_gated(src: SourceConfig, channel: str, gates, seed) -> EmissionBatch:
     """Chaotic singles emitted only while a gate is open.
 
     Each gate gets an independent field realisation with a seed derived
     from ``seed``, matching the per-cycle generation contract. A channel
     whose uncorrelated rate is 0 draws nothing, so it spawns no seeds.
+
+    Gates are synthesised concurrently, one thread per CPU the process may
+    run on (at most one per gate); numpy's generator and ``lfilter`` release
+    the GIL. Results merge in gate order, so the output does not depend on
+    the number of workers. Memory grows with the number of workers times
+    the working set of one chunk: the intensity of 2^20 cells as float64
+    (8 MiB) and two filter blocks of 2^16 cells. The speed-up was measured
+    on 2 CPUs only.
     """
     gates = check_gates(gates)
     if not len(gates):
@@ -228,9 +265,14 @@ def generate_chaotic_gated(src: SourceConfig, channel: str, gates, seed) -> Emis
         return generate_chaotic(src, channel, (end - start) / PS_PER_NS, seed,
                                 start_ps=start)
     children = _seed_sequence(seed).spawn(len(gates))
-    return merge_batches(*(
-        generate_chaotic(src, channel, (end - start) / PS_PER_NS, child, start_ps=start)
-        for (start, end), child in zip(gates.tolist(), children)))
+
+    def one_gate(gate, child):
+        start, end = gate
+        return generate_chaotic(src, channel, (end - start) / PS_PER_NS, child,
+                                start_ps=start)
+
+    with ThreadPoolExecutor(min(_cpu_count(), len(gates))) as pool:
+        return merge_batches(*pool.map(one_gate, gates.tolist(), children))
 
 
 def _dead_time_filter(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:

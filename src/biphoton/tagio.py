@@ -127,21 +127,28 @@ class TagStream:
                 fh.write(f"{int(c)},{int(t)}\n")
 
 
+def check_order(timestamps, after=None):
+    """Raise ``OrderingError`` unless ``timestamps`` are non-decreasing and
+    none precedes ``after``, the last timestamp of an earlier chunk."""
+    if len(timestamps) and ((after is not None and timestamps[0] < after)
+                            or np.any(timestamps[1:] < timestamps[:-1])):
+        raise OrderingError("records must be sorted by timestamp")
+
+
 def _pack_header(header: StreamHeader, gate_table_offset: int) -> bytes:
     return _HEADER_STRUCT.pack(
         MAGIC, header.version, 0, header.tick_ps, header.channel_count, 0,
         header.acquisition_seconds, gate_table_offset, 0, 0)
 
 
-def _encode_records(channels, timestamps) -> bytes:
+def _encode_records(channels, timestamps, after=None) -> bytes:
     channels = np.ascontiguousarray(channels, dtype=np.uint8)
     timestamps = np.ascontiguousarray(timestamps, dtype=np.int64)
     if len(channels) != len(timestamps):
         raise ValidationError("channel/timestamp length mismatch")
     if len(timestamps) == 0:
         return b""
-    if np.any(np.diff(timestamps) < 0):
-        raise OrderingError("records must be sorted by timestamp")
+    check_order(timestamps, after)
     if int(timestamps[0]) < 0 or int(timestamps[-1]) > MAX_TIMESTAMP:
         raise ValidationError("timestamp outside the 56-bit range",
                               field="timestamp")
@@ -203,9 +210,7 @@ class StreamWriter:
     def write(self, channels, timestamps):
         timestamps = np.ascontiguousarray(timestamps, dtype=np.int64)
         if len(timestamps):
-            if self._last_ts is not None and int(timestamps[0]) < self._last_ts:
-                raise OrderingError("records must be sorted across chunks")
-            payload = _encode_records(channels, timestamps)
+            payload = _encode_records(channels, timestamps, self._last_ts)
             self._fh.write(payload)
             self.bytes_written += len(payload)
             self._last_ts = int(timestamps[-1])
@@ -274,8 +279,13 @@ class StreamReader:
         self.chunk_records = int(chunk_records)
 
     def chunks(self):
-        """Yield (channels, timestamps) array pairs of bounded size."""
+        """Yield (channels, timestamps) array pairs of bounded size.
+
+        Raises ``OrderingError`` at the first chunk whose records are out of
+        order, within the chunk or against the end of the chunk before.
+        """
         offset = self._data_offset
+        last = None
         while True:
             buf = self._fh.read(self.chunk_records * RECORD_SIZE)
             if not buf:
@@ -283,7 +293,10 @@ class StreamReader:
             if len(buf) % RECORD_SIZE:
                 raise CorruptionError("truncated record",
                                       offset + len(buf) - (len(buf) % RECORD_SIZE))
-            yield _decode_records(buf)
+            channels, timestamps = _decode_records(buf)
+            check_order(timestamps, last)
+            last = timestamps[-1]
+            yield channels, timestamps
             offset += len(buf)
 
     def records(self):

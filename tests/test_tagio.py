@@ -130,6 +130,32 @@ class TestValidation:
         with pytest.raises(OrderingError):
             write_stream(records, sink=io.BytesIO())
 
+    @staticmethod
+    def hand_written(timestamps):
+        header = struct.pack("<8sHHIHHdQQI", MAGIC, 1, 0, 1, 2, 0, 0.0, 0, 0, 0)
+        return header + b"".join(struct.pack("<Q", t << 8) for t in timestamps)
+
+    def test_reader_rejects_unsorted_records(self):
+        raw = self.hand_written([500, 100])
+        with pytest.raises(OrderingError):
+            read_stream(io.BytesIO(raw))
+        with pytest.raises(OrderingError):
+            list(StreamReader(io.BytesIO(raw)).chunks())
+
+    def test_reader_rejects_disorder_across_chunks(self):
+        reader = StreamReader(io.BytesIO(self.hand_written([500, 100])),
+                              chunk_records=1)
+        chunks = reader.chunks()
+        assert next(chunks)[1].tolist() == [500]
+        with pytest.raises(OrderingError):
+            next(chunks)
+
+    def test_reader_accepts_equal_timestamps(self):
+        raw = self.hand_written([100, 500, 500, 700])
+        for n in (1, 2, 4):
+            parts = list(StreamReader(io.BytesIO(raw), chunk_records=n).chunks())
+            assert np.concatenate([t for _, t in parts]).tolist() == [100, 500, 500, 700]
+
     def test_timestamp_range_rejected(self):
         with pytest.raises(ValidationError):
             write_stream([TimeTagRecord(0, 1 << 56)], sink=io.BytesIO())
