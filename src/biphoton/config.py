@@ -19,22 +19,6 @@ from .simulate import DetectorConfig, SourceConfig
 
 
 @dataclass(frozen=True)
-class FitSection:
-    model: str = "cross"
-    window_ns: tuple[float, float] = (-20.0, 100.0)
-    free_gamma: bool = False  # absorption fits: free the linewidth
-
-    def __post_init__(self):
-        if self.model not in ("cross", "auto", "absorption"):
-            raise ValidationError("model must be cross|auto|absorption", field="fit.model")
-
-
-@dataclass(frozen=True)
-class MetricsSection:
-    coincidence_window_ns: float = 40.0
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 1
     source: SourceConfig = field(default_factory=SourceConfig)
@@ -43,8 +27,6 @@ class ExperimentConfig:
     duty_cycle: DutyCycleSpec = field(default_factory=DutyCycleSpec)
     hardware: HardwareProfile = field(default_factory=HardwareProfile)
     histogram: HistogramConfig = field(default_factory=HistogramConfig)
-    fit: FitSection = field(default_factory=FitSection)
-    metrics: MetricsSection = field(default_factory=MetricsSection)
 
 
 _SECTION_TYPES = {
@@ -54,11 +36,9 @@ _SECTION_TYPES = {
     "duty_cycle": DutyCycleSpec,
     "hardware": HardwareProfile,
     "histogram": HistogramConfig,
-    "fit": FitSection,
-    "metrics": MetricsSection,
 }
 
-_TUPLE_FIELDS = {"always_on_channels", "window_ns"}
+_TUPLE_FIELDS = {"always_on_channels"}
 _INT_KEY_DICTS = {"analog_levels_v"}
 
 

@@ -50,10 +50,6 @@ class BudgetError(ValidationError):
         super().__init__(f"{message} ({overflow_words} words over budget)")
 
 
-class RankDeficiencyError(BiphotonError):
-    """Normal matrix stayed singular after damping escalation."""
-
-
 class NonConvergenceError(BiphotonError):
     """Fit ran out of iterations; carries the best result found."""
 

@@ -1,4 +1,5 @@
-"""Weighted nonlinear least squares with adaptive damping, plus the three
+"""Weighted nonlinear least squares with SciPy's bounded trust-region
+solver (``scipy.optimize.least_squares``, method ``trf``), plus the three
 measurement models: jitter-convolved cross-correlation, jitter-convolved
 symmetric auto-correlation, and the Lorentzian absorption profile.
 
@@ -16,9 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import least_squares
 from scipy.special import erfc, erfcx
 
-from .errors import NonConvergenceError, RankDeficiencyError, ValidationError
+from .errors import NonConvergenceError, ValidationError
 from .metrics import RB_D2_LINEWIDTH_MHZ
 
 
@@ -162,106 +164,25 @@ class FitResult:
             "reduced_chi2": self.reduced_chi2,
             "n_iterations": self.n_iterations,
             "converged": self.converged,
+            "message": self.message,
             "fixed": list(self.fixed),
         }
 
 
-def numeric_jacobian(func, params, f0=None, rel_step=None):
-    """Forward-difference Jacobian of ``func`` (returns a residual vector)."""
-    params = np.asarray(params, dtype=float)
-    if f0 is None:
-        f0 = func(params)
-    if rel_step is None:
-        rel_step = math.sqrt(np.finfo(float).eps)
-    jac = np.empty((len(f0), len(params)))
-    for j in range(len(params)):
-        # The unit floor keeps the step representable when a parameter
-        # sits at zero (e.g. a centered line position).
-        step = rel_step * max(abs(params[j]), 1.0)
-        p = params.copy()
-        p[j] += step
-        jac[:, j] = (func(p) - f0) / step
-    return jac
-
-
-CHI2_RTOL = 1e-9
-GRAD_ATOL = 1e-8
-CONSECUTIVE_OK = 3
-MAX_ITERATIONS = 500
-LAMBDA_MAX = 1e12
-
-
-def _lm_minimize(residual_fn, p0, max_iterations=MAX_ITERATIONS):
-    """Damped least squares with adaptive Levenberg-style damping.
-
-    ``residual_fn(p)`` returns weighted residuals or None when ``p`` is
-    outside the model domain.
-    """
-    p = np.asarray(p0, dtype=float).copy()
-    r = residual_fn(p)
-    if r is None:
-        raise ValidationError("initial parameters outside model domain", field="p0")
-    chi2 = float(r @ r)
-    lam = 1e-3
-    ok_streak = 0
-    n_iter = 0
-    converged = False
-    while n_iter < max_iterations:
-        n_iter += 1
-        def safe_residual(q):
-            rq = residual_fn(q)
-            return rq if rq is not None else np.full_like(r, np.inf)
-
-        jac = numeric_jacobian(safe_residual, p, f0=r)
-        jtj = jac.T @ jac
-        grad = jac.T @ r
-        accepted = False
-        singular_only = True
-        while lam <= LAMBDA_MAX:
-            damped = jtj + lam * np.diag(np.clip(np.diag(jtj), 1e-14, None))
-            try:
-                step = np.linalg.solve(damped, -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            if not np.all(np.isfinite(step)):
-                lam *= 10.0
-                continue
-            singular_only = False
-            trial = p + step
-            r_trial = residual_fn(trial)
-            if r_trial is None or not np.all(np.isfinite(r_trial)):
-                lam *= 10.0
-                continue
-            chi2_trial = float(r_trial @ r_trial)
-            if chi2_trial <= chi2:
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            if singular_only:
-                raise RankDeficiencyError("normal matrix singular at maximum damping")
-            # No downhill step found at any damping: converged in place.
-            converged = True
-            break
-        rel_drop = (chi2 - chi2_trial) / max(chi2, 1e-300)
-        p, r, chi2 = trial, r_trial, chi2_trial
-        lam = max(lam / 3.0, 1e-12)
-        grad_norm = float(np.max(np.abs(jac.T @ r)))
-        if rel_drop < CHI2_RTOL or grad_norm < GRAD_ATOL:
-            ok_streak += 1
-            if ok_streak >= CONSECUTIVE_OK:
-                converged = True
-                break
-        else:
-            ok_streak = 0
-    return p, r, chi2, n_iter, converged
+# Lower bounds of each model's parameters: decay and jitter times, optical
+# depth and linewidth are not negative. The solver keeps its iterates
+# strictly inside, so the strict bounds of ``_in_domain`` hold too.
+LOWER_BOUNDS = {
+    ModelKind.CROSS_CONVOLVED: (-np.inf, 0.0, 0.0, -np.inf),
+    ModelKind.AUTO_CONVOLVED: (-np.inf, 0.0, 0.0, -np.inf),
+    ModelKind.ABSORPTION_OD: (0.0, 0.0, -np.inf),
+}
+MAX_ITERATIONS = 500  # residual evaluations per start, Jacobian ones excluded
 
 
 def fit(x, y, sigma_y, kind: ModelKind, initial_params, *,
         free=None, bin_width: float = 0.0, n_starts: int = 8,
-        max_iterations: int = MAX_ITERATIONS, raise_on_failure: bool = False,
-        start_seed: int = 0) -> FitResult:
+        raise_on_failure: bool = False) -> FitResult:
     """Fit a model to (x, y, sigma_y) samples.
 
     ``free`` overrides which parameters vary (default: everything except
@@ -273,12 +194,17 @@ def fit(x, y, sigma_y, kind: ModelKind, initial_params, *,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     sigma_y = np.asarray(sigma_y, dtype=float)
+    for name, values in (("x", x), ("y", y), ("sigma_y", sigma_y)):
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("must be finite", field=name)
     if np.any(sigma_y <= 0):
         raise ValidationError("sigma_y must be positive", field="sigma_y")
     names = PARAM_NAMES[kind]
     p_full = np.asarray(initial_params, dtype=float).copy()
     if len(p_full) != len(names):
         raise ValidationError(f"expected {len(names)} parameters", field="initial_params")
+    if not _in_domain(kind, p_full):
+        raise ValidationError("initial parameters outside model domain", field="p0")
     if free is None:
         free_names = tuple(n for n in names if n not in DEFAULT_FIXED[kind])
     else:
@@ -290,56 +216,45 @@ def fit(x, y, sigma_y, kind: ModelKind, initial_params, *,
     if len(x) < 2 * len(free_idx):
         raise ValidationError("need at least 2x more samples than free parameters",
                               field="x")
+    bounds = (np.asarray(LOWER_BOUNDS[kind])[free_idx], np.inf)
 
     def residual_fn(p_free):
         full = p_full.copy()
         full[free_idx] = p_free
-        if not _in_domain(kind, full):
-            return None
-        try:
-            model = model_eval_binned(kind, full, x, bin_width)
-        except ValidationError:
-            return None
-        res = (model - y) / sigma_y
-        return res if np.all(np.isfinite(res)) else None
+        return (model_eval_binned(kind, full, x, bin_width) - y) / sigma_y
 
-    rng = np.random.default_rng(np.random.SeedSequence(start_seed))
+    # Scaling by exp(normal) keeps each start's signs, so every start is
+    # inside the domain checked above.
+    rng = np.random.default_rng(0)
     best = None
     for start in range(max(1, n_starts)):
-        p_start = p_full[free_idx].astype(float)
+        p_start = p_full[free_idx]
         if start > 0:
             p_start = p_start * np.exp(rng.normal(0.0, 0.2, size=len(p_start)))
-        if residual_fn(p_start) is None:
-            continue
-        try:
-            p_opt, r_opt, chi2, n_iter, converged = _lm_minimize(
-                residual_fn, p_start, max_iterations=max_iterations)
-        except RankDeficiencyError:
-            continue
-        key = (chi2, tuple(p_opt))
+        res = least_squares(residual_fn, p_start, bounds=bounds,
+                            max_nfev=MAX_ITERATIONS)
+        chi2 = float(res.fun @ res.fun)
+        key = (chi2, tuple(res.x))
         if best is None or key < best[0]:
-            best = (key, p_opt, r_opt, chi2, n_iter, converged)
-
-    if best is None:
-        raise RankDeficiencyError("every start failed with a singular normal matrix")
-    _, p_opt, r_opt, chi2, n_iter, converged = best
+            best = (key, res)
+    (chi2, _), res = best
 
     full = p_full.copy()
-    full[free_idx] = p_opt
-    jac = numeric_jacobian(lambda q: residual_fn(q), p_opt, f0=r_opt)
+    full[free_idx] = res.x
     uncertainties = np.zeros(len(names))
     try:
-        cov = np.linalg.inv(jac.T @ jac)
+        cov = np.linalg.inv(res.jac.T @ res.jac)
         uncertainties[free_idx] = np.sqrt(np.clip(np.diag(cov), 0, None))
     except np.linalg.LinAlgError:
         uncertainties[free_idx] = np.nan
     dof = max(len(x) - len(free_idx), 1)
+    converged = bool(res.status > 0)
     result = FitResult(
         kind=kind, params=full, uncertainties=uncertainties,
-        chi2=chi2, reduced_chi2=chi2 / dof, n_iterations=n_iter,
+        chi2=chi2, reduced_chi2=chi2 / dof, n_iterations=int(res.njev),
         converged=converged,
         fixed=tuple(n for n in names if n not in free_names),
-        message="" if converged else "maximum iterations exceeded",
+        message=res.message,
     )
     if not converged and raise_on_failure:
         raise NonConvergenceError("fit did not converge", result=result)

@@ -86,8 +86,8 @@ class StreamHeader:
     version: int = VERSION
 
     def __post_init__(self):
-        if self.tick_ps <= 0:
-            raise ValidationError("tick unit must be positive", field="tick_ps")
+        if self.tick_ps != 1:
+            raise ValidationError("only 1 ps ticks are supported", field="tick_ps")
         if self.version < 1:
             raise ValidationError("version must be >= 1", field="version")
 
@@ -243,6 +243,9 @@ def _parse_header(fh):
         raise StreamFormatError("bad magic; not a biphoton time-tag stream")
     if version < 1 or version > VERSION:
         raise StreamFormatError(f"unsupported stream version {version}")
+    if tick_ps != 1:
+        # Every consumer takes timestamps as picoseconds.
+        raise StreamFormatError(f"unsupported tick of {tick_ps} ps; only 1 ps is read")
     header = StreamHeader(tick_ps=tick_ps, channel_count=channel_count,
                           acquisition_seconds=acq_s, version=version)
     if not table_offset:

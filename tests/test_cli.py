@@ -56,6 +56,7 @@ class TestPipeline:
         assert code == 0
         report = json.loads(report_path.read_text())
         assert report["converged"]
+        assert report["message"]
         assert report["params"]["tau_c"] == pytest.approx(4.4, abs=0.3)
         # Two detectors at 0.43 ns jitter add in quadrature to 0.61 ns.
         assert report["params"]["tau_d"] == pytest.approx(0.61, abs=0.1)

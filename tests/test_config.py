@@ -36,19 +36,20 @@ class TestConfigFromDict:
     def test_tuple_fields_coerced_from_lists(self):
         config = config_from_dict({
             "duty_cycle": {"always_on_channels": [4, 5]},
-            "fit": {"window_ns": [-10, 50]},
         })
         assert config.duty_cycle.always_on_channels == (4, 5)
-        assert config.fit.window_ns == (-10, 50)
 
     def test_analog_levels_keys_coerced_to_int(self):
         config = config_from_dict(
             {"duty_cycle": {"analog_levels_v": {"0": 1.1}}})
         assert config.duty_cycle.analog_levels_v == {0: 1.1}
 
-    def test_fit_model_validated(self):
-        with pytest.raises(ValidationError):
-            config_from_dict({"fit": {"model": "lorentzian"}})
+    def test_fit_and_metrics_sections_rejected(self):
+        # The fit and metrics commands take their settings as flags only.
+        for section in ({"fit": {"model": "cross"}},
+                        {"metrics": {"coincidence_window_ns": 40.0}}):
+            with pytest.raises(ValidationError, match="unknown section"):
+                config_from_dict(section)
 
 
 class TestLoadConfig:

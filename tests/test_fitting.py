@@ -3,10 +3,10 @@ import pytest
 
 from oracles import auto_model, cross_model
 
-from biphoton.errors import RankDeficiencyError, ValidationError
+from biphoton.errors import ValidationError
 from biphoton.fitting import (DEFAULT_FIXED, PARAM_NAMES, ModelKind,
                               exp_gauss, fit, initial_guess, model_eval,
-                              model_eval_binned, numeric_jacobian)
+                              model_eval_binned)
 
 
 def perturbed_start(kind, truth, factor=1.3):
@@ -87,27 +87,6 @@ class TestConvolutionOracle:
         assert np.allclose(tiny, fine, rtol=1e-8)
 
 
-class TestJacobian:
-    def test_forward_difference_close_to_central(self):
-        x = np.linspace(-5, 20, 60)
-        p = np.array([50.0, 4.4, 0.61, 1.0])
-
-        def residual(q):
-            return model_eval(ModelKind.CROSS_CONVOLVED, q, x)
-
-        fwd = numeric_jacobian(residual, p)
-        eps = np.sqrt(np.finfo(float).eps)
-        central = np.empty_like(fwd)
-        for j in range(len(p)):
-            step = eps ** 0.75 * max(abs(p[j]), 1.0)
-            hi, lo = p.copy(), p.copy()
-            hi[j] += step
-            lo[j] -= step
-            central[:, j] = (residual(hi) - residual(lo)) / (2 * step)
-        scale = np.max(np.abs(central), axis=0)
-        assert np.max(np.abs(fwd - central) / scale) < 1e-4
-
-
 class TestFit:
     def test_noiseless_exact_recovery_all_models(self):
         cases = [
@@ -182,19 +161,51 @@ class TestFit:
         assert 0.68 - 0.12 <= hits / n_trials <= 0.68 + 0.12
         assert 0.85 < np.std(zs) < 1.2
 
-    def test_rank_deficiency_raises(self):
-        # A residual defined only at the starting point: every damped step
-        # is out of domain, so no finite normal system ever forms.
-        p0 = np.array([1.0, 2.0])
+    @pytest.mark.parametrize("kind, start", [
+        (ModelKind.CROSS_CONVOLVED, [50.0, 0.0, 0.61, 1.0]),
+        (ModelKind.CROSS_CONVOLVED, [50.0, -4.4, 0.61, 1.0]),
+        (ModelKind.CROSS_CONVOLVED, [50.0, 4.4, -0.1, 1.0]),
+        (ModelKind.AUTO_CONVOLVED, [0.8, 18.9, -0.9, 1.0]),
+        (ModelKind.ABSORPTION_OD, [-1.0, 6.065, 0.0]),
+        (ModelKind.ABSORPTION_OD, [20.0, 0.0, 0.0]),
+    ])
+    def test_out_of_domain_start_rejected(self, kind, start):
+        x = np.linspace(-10, 40, 50)
+        with pytest.raises(ValidationError) as err:
+            fit(x, np.ones_like(x), np.ones_like(x), kind, start)
+        assert err.value.field == "p0"
 
-        def pointlike_residual(p):
-            if np.array_equal(p, p0):
-                return np.array([1.0, 2.0, 3.0])
-            return None
+    def test_non_finite_data_rejected(self):
+        x = np.linspace(-10, 40, 50)
+        y = np.ones_like(x)
+        y[7] = np.nan
+        with pytest.raises(ValidationError) as err:
+            fit(x, y, np.ones_like(x), ModelKind.CROSS_CONVOLVED,
+                [1.0, 4.4, 0.61, 1.0])
+        assert err.value.field == "y"
 
-        from biphoton.fitting import _lm_minimize
-        with pytest.raises(RankDeficiencyError):
-            _lm_minimize(pointlike_residual, p0)
+    def test_matches_recorded_solution(self):
+        # A Poisson cross histogram fitted as `biphoton fit` does; the
+        # constants are the result of the Levenberg-Marquardt solver this
+        # fitter replaced, which the bounded trust-region solver must
+        # reproduce within 1e-3 of a standard error.
+        kind = ModelKind.CROSS_CONVOLVED
+        rng = np.random.default_rng(2021)
+        x = np.arange(-20.3, 100.0, 1.4)
+        g_acc = 50.0
+        counts = rng.poisson(
+            g_acc * model_eval_binned(kind, (30.0, 4.4, 0.61, 1.0), x, 1.4))
+        y = counts / g_acc
+        sigma = np.sqrt(counts + 1.0) / g_acc
+        r = fit(x, y, sigma, kind, initial_guess(x, y, kind), bin_width=1.4)
+        params = [29.601437229654895, 4.456963823707896,
+                  0.5608086260092305, 0.98035434769754]
+        errors = [0.6929417244576895, 0.09241921673900558,
+                  0.039526892499951505, 0.017057872364810742]
+        assert r.converged
+        assert np.all(np.abs(r.params - params) < 1e-3 * np.array(errors))
+        assert r.uncertainties == pytest.approx(errors, rel=1e-6)
+        assert r.chi2 == pytest.approx(79.62226658868151, rel=1e-6)
 
     def test_requires_enough_samples(self):
         with pytest.raises(ValidationError):

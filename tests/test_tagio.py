@@ -211,6 +211,18 @@ class TestValidation:
         with pytest.raises(StreamFormatError):
             read_stream(io.BytesIO(header))
 
+    def test_tick_other_than_one_ps_rejected(self):
+        # A 2 ps/tick file: read as ps, its delays would come out halved.
+        header = struct.pack("<8sHHIHHdQQI", MAGIC, 1, 0, 2, 2, 0, 0.0, 0, 0, 0)
+        raw = header + struct.pack("<QQ", 500 << 8, (700 << 8) | 1)
+        with pytest.raises(StreamFormatError, match="tick"):
+            read_stream(io.BytesIO(raw))
+        with pytest.raises(StreamFormatError, match="tick"):
+            StreamReader(io.BytesIO(raw))
+        with pytest.raises(ValidationError):
+            write_stream(TagStream.from_records(
+                [], header=StreamHeader(tick_ps=2)), sink=io.BytesIO())
+
 
 class TestCheckGates:
     def test_accepts_empty_and_pairs(self):
