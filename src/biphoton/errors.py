@@ -38,10 +38,6 @@ class StepSizeError(ValidationError):
     """Integrator step too coarse for the fastest rate in the system."""
 
 
-class ResolutionError(ValidationError):
-    """Sampling grid too coarse to resolve the requested coherence time."""
-
-
 class BudgetError(ValidationError):
     """Compiled sequence exceeds the hardware word budget."""
 

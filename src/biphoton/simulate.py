@@ -2,8 +2,9 @@
 
 Correlated pairs are drawn as a gated Poisson process with exponentially
 delayed idlers; chaotic singles come from a doubly stochastic Poisson
-process driven by a complex Gaussian field with Lorentzian spectrum, which
-yields the thermal-light relation g2(dt) = 1 + exp(-2|dt|/tau) without
+process driven by a complex Ornstein-Uhlenbeck field (Lorentzian
+spectrum), drawn event by event with no time grid, which yields the
+thermal-light relation g2(dt) = 1 + exp(-2|dt|/tau) exactly, without
 modelling atom-number fluctuations.
 
 Gates are the sorted, disjoint ``(n, 2)`` int64 array of half-open
@@ -11,24 +12,18 @@ Gates are the sorted, disjoint ``(n, 2)`` int64 array of half-open
 ``(start, end)`` pairs works too.
 
 All randomness is derived from ``numpy.random.SeedSequence`` so identical
-seeds and configs reproduce bit-identical streams. Each gate draws its
-chaotic field from its own child seed, so ``generate_chaotic_gated``
-synthesises gates concurrently on a thread per available CPU and the output
-does not depend on the worker count; its memory grows with the number of
-workers times the working set of one field chunk.
+seeds and configs reproduce bit-identical streams. ``generate_chaotic_gated``
+draws every gate of a channel from one generator, gate after gate.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
-from .errors import ResolutionError, ValidationError
+from .errors import ValidationError
 from .tagio import StreamHeader, TagStream, check_gates
 
 SIGNAL = 0
@@ -37,6 +32,7 @@ SPECIES_NAMES = {"signal": SIGNAL, "idler": IDLER}
 
 PS_PER_S = 1_000_000_000_000
 PS_PER_NS = 1000
+NEWTON_TOL_NS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -44,7 +40,8 @@ class SourceConfig:
     """Emission-side knobs. Rates in s^-1, times in ns.
 
     ``pair_rate`` applies while a gate is open; the uncorrelated rates set
-    the chaotic singles floor of each channel.
+    the chaotic singles floor of each channel. ``chaotic_grid_dt_ns`` is
+    accepted and checked but ignored: the chaotic light has no time grid.
     """
 
     pair_rate: float = 0.0
@@ -53,7 +50,7 @@ class SourceConfig:
     chaotic_tau_i: float = 12.8
     uncorrelated_rate_s: float = 0.0
     uncorrelated_rate_i: float = 0.0
-    chaotic_grid_dt_ns: float | None = None  # default: tau / 20 per channel
+    chaotic_grid_dt_ns: float | None = None
 
     def __post_init__(self):
         for name in ("pair_rate", "uncorrelated_rate_s", "uncorrelated_rate_i"):
@@ -151,139 +148,141 @@ def generate_pairs(src: SourceConfig, gates, seed) -> EmissionBatch:
 
 
 def generate_chaotic(src: SourceConfig, channel: str, duration_ns: float, seed,
-                     grid_dt_ns: float | None = None,
                      start_ps: int = 0) -> EmissionBatch:
-    """Chaotic (thermal) singles for one channel over ``duration_ns``.
-
-    The intensity is |E(t)|^2 with E a unit-power complex first-order
-    autoregressive process whose correlation time is the channel's
-    chaotic tau, so the events asymptotically satisfy
-    g2(dt) = 1 + exp(-2 |dt| / tau).
-    """
-    species = SPECIES_NAMES.get(channel)
-    if species is None:
-        raise ValidationError(f"unknown channel {channel!r}", field="channel")
-    tau = src.chaotic_tau_s if species == SIGNAL else src.chaotic_tau_i
-    rate = src.uncorrelated_rate_s if species == SIGNAL else src.uncorrelated_rate_i
+    """Chaotic singles of one channel: ``generate_chaotic_gated`` on the one
+    gate ``[start_ps, start_ps + ceil(duration_ns * 1000))``."""
     if duration_ns <= 0:
         raise ValidationError("duration must be positive", field="duration_ns")
-    if grid_dt_ns is None:
-        grid_dt_ns = src.chaotic_grid_dt_ns or tau / 20.0
-    if grid_dt_ns > tau / 10.0:
-        raise ResolutionError(
-            f"grid {grid_dt_ns} ns too coarse for chaotic tau {tau} ns "
-            f"(need <= tau/10)")
-    if rate == 0:
-        return EmissionBatch.empty()
-
-    rng = np.random.default_rng(_seed_sequence(seed))
-    n_cells = int(math.ceil(duration_ns / grid_dt_ns))
-    rho = math.exp(-grid_dt_ns / tau)
-    drive = math.sqrt(1.0 - rho * rho)
-    mean_per_cell = rate * grid_dt_ns * 1e-9
-
-    # Stationary start: the two field quadratures each carry variance 1/2,
-    # so the intensity x^2 + y^2 averages to 1.
-    zi = rho * rng.standard_normal((2, 1)) / math.sqrt(2)
-
-    # The chunk boundaries are part of the draw order, so the chunk size is
-    # part of the seed contract; the filter block size is not.
-    chunk = 1 << 20
-    block = 1 << 16
-    noise = np.empty(min(block, n_cells))
-    times_out = []
-    produced = 0
-    while produced < n_cells:
-        n = min(chunk, n_cells - produced)
-        # A chunk draws n normals for quadrature 0, then n for quadrature 1.
-        # Drawing and filtering them in blocks, with the filter state carried
-        # across, does the same arithmetic on the same draws as one (2, n)
-        # draw filtered along its rows, and holds one block instead.
-        intensity = np.zeros(n)
-        for q in range(2):
-            for lo in range(0, n, block):
-                x = noise[:min(block, n - lo)]
-                rng.standard_normal(out=x)
-                x /= math.sqrt(2)
-                y, zi[q] = lfilter([drive], [1.0, -rho], x, zi=zi[q])
-                intensity[lo:lo + len(y)] += np.square(y, out=y)
-        # Poissonization: per-cell independent Poisson counts are equivalent
-        # to one Poisson total thrown onto cells proportionally to intensity.
-        cum = np.cumsum(intensity, out=intensity)
-        total = int(rng.poisson(mean_per_cell * cum[-1]))
-        if total:
-            u = rng.random(total) * cum[-1]
-            cell_idx = produced + np.searchsorted(cum, u, side="right")
-            t_ns = (cell_idx + rng.random(total)) * grid_dt_ns
-            t_ps = start_ps + (t_ns * PS_PER_NS).astype(np.int64)
-            t_ps.sort(kind="stable")
-            times_out.append(t_ps)
-        produced += n
-
-    if not times_out:
-        return EmissionBatch.empty()
-    times = np.concatenate(times_out)
-    return EmissionBatch(times_ps=times,
-                         species=np.full(len(times), species, np.uint8),
-                         pair_ids=np.zeros(len(times), np.int64))
+    end_ps = start_ps + math.ceil(duration_ns * PS_PER_NS)
+    return generate_chaotic_gated(src, channel, [(start_ps, end_ps)], seed)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on.
+def _blocks(draw, size=4096):
+    """Scalar draws, taken from ``draw(size)`` one block at a time."""
+    while True:
+        yield from draw(size).tolist()
 
-    This is the affinity mask, not a cgroup CPU quota: a container limited
-    to 2 CPUs on a 64-CPU host counts 64.
+
+def _chaotic_events(q: float, tau: float, widths_ns, rng):
+    """Gate indices and offsets (ns, in order) of the events of a Cox
+    process with rate ``q * |E(t)|^2`` per ns, one stationary field per gate.
+
+    Each quadrature of E follows dx = -a x dt + s dW, a = 1/tau, s^2 = a.
+    Given I = |E|^2 = i0 at the last event, none follows within t with
+    probability exp(-F(t)), F = A i0 + 2B; under that survival weight a
+    quadrature is Gaussian with mean m x0 and variance v, so I at the next
+    event is v times a non-central chi-square (lambda = m^2 i0 / v)
+    size-biased by I: 6 degrees of freedom with probability
+    mu / (1 + mu), mu = lambda / 2, else 4. With gamma^2 = a^2 + 2 s^2 q,
+    d = gamma - a, w = 1 - exp(-2 gamma t) and den = 2 gamma - d w:
+    A = q w / den, 2B = ln(den / 2 gamma) + d t,
+    m = 2 gamma exp(-gamma t) / den and v = s^2 w / den.
     """
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    a = 1.0 / tau
+    gamma = math.sqrt(a * a + 2.0 * a * q)
+    two_g = 2.0 * gamma
+    d = 2.0 * a * q / (gamma + a)  # gamma - a, without the cancellation
+    a_inf = q / (gamma + a)  # A(t) as t -> inf
+    b_inf = math.log((gamma + a) / two_g)  # 2B(t) - d t as t -> inf
+    exps = _blocks(rng.standard_exponential).__next__
+    normals = _blocks(rng.standard_normal).__next__
+    uniforms = _blocks(rng.random).__next__
+
+    def hazard(t, i0):  # F(t) and F'(t); nothing overflows for any t
+        w = -math.expm1(-two_g * t)
+        big_a = q * w / (two_g - d * w)
+        return (big_a * i0 + math.log1p(-d * w / two_g) + d * t,
+                (q - 2.0 * a * big_a * (1.0 + big_a)) * i0 + 2.0 * a * big_a)
+
+    gate_of, offsets = [], []
+    for g, width in enumerate(widths_ns):
+        i0 = exps()  # stationary |E|^2 at the gate start
+        now = 0.0
+        while True:
+            e = exps()
+            lo, hi = 0.0, width - now
+            if hazard(hi, i0)[0] < e:
+                break
+            # Newton inside the bracket (lo, hi], from the asymptote, or from
+            # the tangent at 0 if the asymptote crosses e at t <= 0.
+            t = (e - a_inf * i0 - b_inf) / d
+            if t <= 0:
+                t = e / (q * i0)
+            if not lo < t <= hi:
+                t = 0.5 * hi
+            while True:
+                f, df = hazard(t, i0)
+                lo, hi = (t, hi) if f < e else (lo, t)
+                nxt = t - (f - e) / df
+                if not lo < nxt <= hi:
+                    nxt = 0.5 * (lo + hi)
+                step, t = abs(nxt - t), nxt
+                if step < NEWTON_TOL_NS:
+                    break
+            now += t
+            gate_of.append(g)
+            offsets.append(now)
+            w = -math.expm1(-two_g * t)
+            den = two_g - d * w
+            mean2 = (two_g * math.exp(-gamma * t) / den) ** 2 * i0  # v * lambda
+            v = a * w / den
+            x = math.sqrt(mean2) + math.sqrt(v) * normals()
+            chi = normals() ** 2 + 2.0 * exps()
+            if uniforms() * (2.0 * v + mean2) < mean2:
+                chi += 2.0 * exps()
+            i0 = x * x + v * chi
+    return gate_of, offsets
 
 
 def generate_chaotic_gated(src: SourceConfig, channel: str, gates, seed) -> EmissionBatch:
     """Chaotic singles emitted only while a gate is open.
 
-    Each gate gets an independent field realisation with a seed derived
-    from ``seed``, matching the per-cycle generation contract. A channel
-    whose uncorrelated rate is 0 draws nothing, so it spawns no seeds.
-
-    Gates are synthesised concurrently, one thread per CPU the process may
-    run on (at most one per gate); numpy's generator and ``lfilter`` release
-    the GIL. Results merge in gate order, so the output does not depend on
-    the number of workers. Memory grows with the number of workers times
-    the working set of one chunk: the intensity of 2^20 cells as float64
-    (8 MiB) and two filter blocks of 2^16 cells. The speed-up was measured
-    on 2 CPUs only.
+    The intensity is |E(t)|^2, E a unit-power complex Ornstein-Uhlenbeck
+    field with the channel's chaotic tau, so g2(dt) = 1 + exp(-2|dt|/tau)
+    holds exactly; each gate starts from an independent stationary field.
+    Events come from the exact survival function, with no time grid: on a
+    2-vCPU Intel Xeon, 4 us per event at rate * tau = 0.004, 6 us at
+    rate * tau = 1, and 1.6 us per gate without events. One generator,
+    seeded from ``seed``, draws the gates in order; a zero rate draws nothing.
     """
     gates = check_gates(gates)
     if not len(gates):
         return EmissionBatch.empty()
-    rate = src.uncorrelated_rate_s if channel == "signal" else src.uncorrelated_rate_i
+    species = SPECIES_NAMES.get(channel)
+    if species is None:
+        raise ValidationError(f"unknown channel {channel!r}", field="channel")
+    tau = src.chaotic_tau_s if species == SIGNAL else src.chaotic_tau_i
+    rate = src.uncorrelated_rate_s if species == SIGNAL else src.uncorrelated_rate_i
     if rate == 0:
-        # Nothing to draw; one call on the first gate keeps the channel and
-        # grid checks.
-        start, end = gates[0].tolist()
-        return generate_chaotic(src, channel, (end - start) / PS_PER_NS, seed,
-                                start_ps=start)
-    children = _seed_sequence(seed).spawn(len(gates))
+        return EmissionBatch.empty()
 
-    def one_gate(gate, child):
-        start, end = gate
-        return generate_chaotic(src, channel, (end - start) / PS_PER_NS, child,
-                                start_ps=start)
-
-    with ThreadPoolExecutor(min(_cpu_count(), len(gates))) as pool:
-        return merge_batches(*pool.map(one_gate, gates.tolist(), children))
+    rng = np.random.default_rng(_seed_sequence(seed))
+    widths_ps = gates[:, 1] - gates[:, 0]
+    gate_of, offsets = _chaotic_events(rate * 1e-9, tau,
+                                       (widths_ps / PS_PER_NS).tolist(), rng)
+    offsets_ps = (np.array(offsets) * PS_PER_NS).astype(np.int64)
+    times = gates[gate_of, 0] + np.minimum(offsets_ps, widths_ps[gate_of] - 1)
+    return EmissionBatch(times_ps=times,
+                         species=np.full(len(times), species, np.uint8),
+                         pair_ids=np.zeros(len(times), np.int64))
 
 
 def _dead_time_filter(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:
-    """Greedy dead-time mask: drop tags within dead_ps after an accepted one."""
+    """Greedy dead-time mask: drop tags within dead_ps after an accepted one.
+    A tag at least dead_ps after its predecessor is always kept, so only
+    the tags closer than that are walked."""
     keep = np.ones(len(times_ps), dtype=bool)
-    last = -np.inf
-    for i, t in enumerate(times_ps):
-        if t - last < dead_ps and last != -np.inf:
+    close = np.flatnonzero(np.diff(times_ps) < dead_ps) + 1
+    last, prev = 0, -1
+    for i, t, before in zip(close.tolist(), times_ps[close].tolist(),
+                            times_ps[close - 1].tolist()):
+        if i != prev + 1:
+            last = before  # kept: it is not close to its own predecessor
+        if t - last < dead_ps:
             keep[i] = False
         else:
             last = t
+        prev = i
     return keep
 
 

@@ -278,7 +278,11 @@ class StreamReader:
     def __init__(self, source, chunk_records: int = 1 << 16):
         self._own = not hasattr(source, "read")
         self._fh = open(source, "rb") if self._own else source
-        self.header, self.gates, self._data_offset = _parse_header(self._fh)
+        try:
+            self.header, self.gates, self._data_offset = _parse_header(self._fh)
+        except BaseException:
+            self.close()
+            raise
         self.chunk_records = int(chunk_records)
 
     def chunks(self):

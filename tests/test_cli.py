@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -175,6 +178,18 @@ def test_errors_map_to_exit_codes(monkeypatch, capsys, error, code):
     monkeypatch.setattr(cli, "cmd_metrics", fail)
     assert main(["metrics"]) == code
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # Every command pays for what importing the package loads; scipy.signal
+    # alone cost about 0.6 s.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, biphoton.cli; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestSequenceCommand:

@@ -7,13 +7,15 @@ import pytest
 from biphoton import simulate
 from biphoton.config import ExperimentConfig, config_from_dict
 from biphoton.correlate import HistogramConfig, cross_correlate
-from biphoton.errors import ResolutionError, ValidationError
+from biphoton.errors import ValidationError
 from biphoton.pipeline import simulate_experiment
 from biphoton.simulate import (IDLER, SIGNAL, DetectorConfig, EmissionBatch,
                                SourceConfig, detect, generate_chaotic,
                                generate_chaotic_gated, generate_pairs,
                                split_hbt)
-from biphoton.tagio import write_stream
+from biphoton.tagio import StreamHeader, TagStream, write_stream
+
+from oracles import chaotic_on_grid, dead_time_mask
 
 PS = 1000  # ps per ns
 
@@ -23,6 +25,19 @@ CHANNEL_MAP = {SIGNAL: 0, IDLER: 1}
 
 def one_gate(width_us):
     return [(0, int(width_us * 1_000_000))]
+
+
+def positive_lag_g2(times_ps, duration_ns, bin_ns, max_ns):
+    """g2 over [0, max_ns) lags, normalised by the sample's own rate, and
+    its Poisson error per bin."""
+    stream = TagStream(channels=np.zeros(len(times_ps), np.uint8),
+                       timestamps=times_ps,
+                       header=StreamHeader(acquisition_seconds=duration_ns * 1e-9))
+    cfg = HistogramConfig(bin_width=bin_ns, dt_min=0, dt_max=max_ns,
+                          channel_a=0, channel_b=0)
+    counts = cross_correlate(stream, cfg).counts
+    floor = len(times_ps) ** 2 * bin_ns / duration_ns
+    return counts / floor, np.sqrt(counts) / floor
 
 
 class TestPairGeneration:
@@ -78,11 +93,6 @@ class TestChaoticGeneration:
         with pytest.raises(ValidationError):
             generate_chaotic(SourceConfig(), "pump", 1000.0, 1)
 
-    def test_coarse_grid_rejected(self):
-        src = SourceConfig(uncorrelated_rate_s=1e4, chaotic_tau_s=10.0)
-        with pytest.raises(ResolutionError):
-            generate_chaotic(src, "signal", 1000.0, 1, grid_dt_ns=2.0)
-
     def test_mean_rate_recovered(self):
         src = SourceConfig(uncorrelated_rate_s=1e6, chaotic_tau_s=10.0)
         duration_ns = 2e7  # 20 ms
@@ -102,7 +112,6 @@ class TestChaoticGeneration:
         batch = generate_chaotic(src, "signal", duration_ns, seed=13)
         cfg = HistogramConfig(bin_width=0.5, dt_min=-200, dt_max=200,
                               channel_a=0, channel_b=0)
-        from biphoton.tagio import StreamHeader, TagStream
         stream = TagStream(channels=np.zeros(len(batch), np.uint8),
                            timestamps=batch.times_ps,
                            header=StreamHeader(acquisition_seconds=duration_ns * 1e-9))
@@ -131,59 +140,88 @@ class TestChaoticGeneration:
         assert np.all(np.diff(batch.times_ps) >= 0)
 
     def test_zero_rate_channel_does_no_per_gate_work(self, monkeypatch):
-        calls = []
-        real = simulate.generate_chaotic
+        def no_draws(*args):
+            raise AssertionError("a zero-rate channel drew events")
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(simulate, "generate_chaotic", counting)
+        monkeypatch.setattr(simulate, "_chaotic_events", no_draws)
         gates = [(i * 10_000_000, i * 10_000_000 + 5_000_000) for i in range(1000)]
         batch = generate_chaotic_gated(SourceConfig(), "signal", gates, seed=1)
         assert len(batch) == 0
-        assert len(calls) == 1
 
     def test_zero_rate_channel_keeps_its_checks(self):
-        with pytest.raises(ResolutionError):
-            generate_chaotic_gated(SourceConfig(chaotic_grid_dt_ns=5.0), "signal",
-                                   one_gate(1), seed=1)
         with pytest.raises(ValidationError):
             generate_chaotic_gated(SourceConfig(), "pump", one_gate(1), seed=1)
         assert len(generate_chaotic_gated(SourceConfig(), "pump", [], seed=1)) == 0
 
-    # Four gates on a 0.5 ns grid: 4000 cells; 1.2e6 cells, a full chunk of
-    # 2^20 and a partial one; 2 cells; 2001 cells.
+    # r tau = 0.05 and r tau = 1; the grid is tau / 20 and the bins tau / 5
+    # and tau / 10, with about 200 and 5000 pairs per bin.
+    @pytest.mark.parametrize("rate, tau, duration_ns, bin_ns", [
+        (5e6, 10.0, 4e6, 2.0),
+        (5e7, 20.0, 1e6, 2.0),
+    ])
+    def test_matches_grid_oracle(self, rate, tau, duration_ns, bin_ns):
+        src = SourceConfig(uncorrelated_rate_s=rate, chaotic_tau_s=tau)
+        events = generate_chaotic(src, "signal", duration_ns, seed=21).times_ps
+        grid = chaotic_on_grid(rate, tau, duration_ns, tau / 20, seed=21)
+        # Mean rate: the counts differ by less than 5 sigma, with the
+        # bunching excess 2 r tau on each variance.
+        expected = rate * duration_ns * 1e-9
+        sigma = np.sqrt(2 * expected * (1 + 2 * rate * 1e-9 * tau))
+        assert abs(len(events) - len(grid)) < 5 * sigma
+        # g2 shape out to 5 tau: chi^2 of the difference within 5 sigma
+        # of its number of bins.
+        g_e, err_e = positive_lag_g2(events, duration_ns, bin_ns, 5 * tau)
+        g_g, err_g = positive_lag_g2(grid, duration_ns, bin_ns, 5 * tau)
+        chi2 = float(np.sum((g_e - g_g) ** 2 / (err_e ** 2 + err_g ** 2)))
+        ndf = len(g_e)
+        assert chi2 < ndf + 5 * np.sqrt(2 * ndf)
+        # First bin against exp(-2 dt / tau) averaged over [0, bin).
+        first = tau / (2 * bin_ns) * (1 - np.exp(-2 * bin_ns / tau))
+        assert g_e[0] - 1 == pytest.approx(first, abs=5 * err_e[0])
+
+    def test_fano_factor_of_gate_counts(self):
+        # Counts in gates of L = 2 tau at r tau = 1, each gate an
+        # independent stationary field: Var/mean is
+        # 1 + r tau (1 - tau / 2L (1 - exp(-2L / tau))).
+        rate, tau, width_ns, n_gates = 2e7, 50.0, 100.0, 50_000
+        src = SourceConfig(uncorrelated_rate_s=rate, chaotic_tau_s=tau)
+        period_ps = 2 * int(width_ns) * PS
+        gates = [(i * period_ps, i * period_ps + int(width_ns) * PS)
+                 for i in range(n_gates)]
+        batch = generate_chaotic_gated(src, "signal", gates, seed=17)
+        counts = np.bincount(batch.times_ps // period_ps, minlength=n_gates)
+        r_tau = rate * 1e-9 * tau
+        theory = 1 + r_tau * (1 - tau / (2 * width_ns)
+                              * (1 - np.exp(-2 * width_ns / tau)))
+        # Error from 25 batches of 2000 gates.
+        batches = counts.reshape(25, -1)
+        fano = batches.var(axis=1, ddof=1) / batches.mean(axis=1)
+        error = fano.std(ddof=1) / np.sqrt(len(fano))
+        assert counts.var(ddof=1) / counts.mean() == pytest.approx(theory, abs=4 * error)
+        assert counts.mean() == pytest.approx(rate * width_ns * 1e-9, rel=0.02)
+
+    # Four gates: 2 us; 600 us; 777 ps; 1 us + 1 ps. The grid setting is
+    # accepted and ignored.
     GOLDEN_SRC = SourceConfig(uncorrelated_rate_s=2e8, uncorrelated_rate_i=5e7,
                               chaotic_tau_s=10.0, chaotic_tau_i=12.8,
                               chaotic_grid_dt_ns=0.5)
     GOLDEN_GATES = [(0, 2_000_000), (5_000_000, 605_000_000),
                     (700_000_000, 700_000_777), (800_000_000, 801_000_001)]
     GOLDEN = {
-        "signal": (119_270, "f53b32e46df02277ec290dabdd73e4af"
-                            "83a71d672a8307fc0f5edd7493894790"),
-        "idler": (29_705, "6e88c8709f1be77fc42fceb1127732a9"
-                          "6500c30e759b082798d3f80b71c6b239"),
+        "signal": (121_163, "a85b96c4e4c8ce0ad516ee9dd97669a8"
+                            "fb930e09a582f055984d2a54cc9e7fb7"),
+        "idler": (30_364, "b07edfca3487db8481719da226d393eb"
+                          "7d05f6ae38c5d6340d1b82c53eae8e22"),
     }
 
     @pytest.mark.parametrize("channel", ["signal", "idler"])
     def test_gated_draws_match_golden_digest(self, channel):
-        # Pins the seed contract: per-gate child seeds, the chunk size and
-        # the order of the draws within a chunk.
+        # Pins the seed contract: one generator per channel call, the gates
+        # drawn in order, and the order of the draws within a gate.
         batch = generate_chaotic_gated(self.GOLDEN_SRC, channel, self.GOLDEN_GATES,
                                        seed=2024)
         digest = hashlib.sha256(batch.times_ps.astype("<i8").tobytes()).hexdigest()
         assert (len(batch), digest) == self.GOLDEN[channel]
-
-    def test_gated_output_does_not_depend_on_worker_count(self, monkeypatch):
-        gates = [(i * 3_000_000, i * 3_000_000 + 2_000_000) for i in range(7)]
-        runs = {}
-        for cpus in (1, 2, 4):
-            monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
-            runs[cpus] = generate_chaotic_gated(self.GOLDEN_SRC, "signal", gates, seed=9)
-        for cpus in (2, 4):
-            for name in ("times_ps", "species", "pair_ids"):
-                assert np.array_equal(getattr(runs[cpus], name), getattr(runs[1], name))
 
     def test_reproducible_for_same_seed(self):
         src = SourceConfig(uncorrelated_rate_s=1e6, chaotic_tau_s=10.0)
@@ -248,6 +286,16 @@ class TestDetector:
         stream = detect(batch, det, CHANNEL_MAP, seed=1)
         assert stream.timestamps.tolist() == [0, 5000, 9000]
 
+    def test_dead_time_mask_matches_per_tag_walk(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(0, 2000))
+            dead_ps = int(rng.integers(1, 5000))
+            span = int(rng.integers(1, 4 * dead_ps * max(n, 1)))
+            times = np.sort(rng.integers(0, span, n)).astype(np.int64)
+            assert np.array_equal(simulate._dead_time_filter(times, dead_ps),
+                                  dead_time_mask(times, dead_ps))
+
     def test_unsorted_batch_rejected(self):
         batch = EmissionBatch(
             times_ps=np.array([100, 50], np.int64),
@@ -259,7 +307,6 @@ class TestDetector:
 class TestSplitHbt:
     def test_conserves_tags_and_reroutes_channels(self):
         rng = np.random.default_rng(6)
-        from biphoton.tagio import StreamHeader, TagStream
         ts = np.sort(rng.integers(0, 1_000_000, 5000)).astype(np.int64)
         ch = rng.integers(0, 2, 5000).astype(np.uint8)
         stream = TagStream(channels=ch, timestamps=ts, header=StreamHeader())

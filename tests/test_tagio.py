@@ -1,5 +1,8 @@
 import io
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -167,6 +170,29 @@ class TestValidation:
     def test_truncated_header(self):
         with pytest.raises(StreamFormatError):
             read_stream(io.BytesIO(b"BIPHTAG\0short"))
+
+    def test_rejected_file_is_closed(self, tmp_path):
+        # An unclosed file only warns when it is collected, so the check
+        # runs in its own interpreter with that warning made an error.
+        path = tmp_path / "bad.tags"
+        path.write_bytes(b"NOTMAGIC" + b"\0" * 40)
+        script = (
+            "import gc\n"
+            "from biphoton.errors import StreamFormatError\n"
+            "from biphoton.tagio import StreamReader, read_stream\n"
+            "for open_stream in (StreamReader, read_stream):\n"
+            "    try:\n"
+            f"        open_stream({str(path)!r})\n"
+            "    except StreamFormatError:\n"
+            "        gc.collect()\n"
+            "    else:\n"
+            "        raise SystemExit('no StreamFormatError')\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-W", "error::ResourceWarning",
+                               "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr
 
     def test_truncated_record_reports_offset(self):
         buf = io.BytesIO()
