@@ -27,7 +27,7 @@ from .metrics import (ODContext, atom_number, bandwidth_from_tau, cauchy_schwarz
                       spectral_brightness)
 from .pipeline import simulate_experiment, write_manifest
 from .sequence import compile_duty_cycle, emit_gates, validate
-from .tagio import read_stream, write_stream
+from .tagio import StreamReader, write_stream
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -89,8 +89,8 @@ def cmd_correlate(args) -> int:
     if args.config:
         config, _ = load_config(args.config)
     hist_cfg = _histogram_config(args, config)
-    stream = read_stream(args.input, mode="batch")
-    hist = cross_correlate(stream, hist_cfg)
+    with StreamReader(args.input) as reader:
+        hist = cross_correlate(reader, hist_cfg)
     acc = accidental_from_histogram(hist)
     sidecar = args.meta or (str(args.out) + ".meta.json")
     hist.export_csv(args.out, accidental=acc if acc.g_acc > 0 else None,

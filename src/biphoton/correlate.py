@@ -1,9 +1,12 @@
 """Coincidence histograms from tag streams: single-pass sliding-window
 cross/auto correlation, accidental estimates, and g2 normalization.
 
-Histograms are associative accumulators: ``StreamCorrelator`` consumes
-time-ordered chunks with bounded memory, and two histograms from disjoint
-segments merge by bin-wise addition.
+``StreamCorrelator`` consumes time-ordered chunks, so a stream read through
+``StreamReader`` is histogrammed with memory bounded by the chunk size, not
+by the file size. Each chunk first drops its isolated tags, those with no
+tag of the correlated channel(s) close enough to pair with; they are only
+counted. An auto histogram never pairs a tag with itself: one dt = 0
+self-pair per kept tag is removed from the zero bin.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tagio import TagStream, check_order
+from .tagio import StreamReader, TagStream, check_order
 
 NS_TO_PS = 1000
 
@@ -157,6 +160,15 @@ class StreamCorrelator:
     pair (a, b) with dt = t_b - t_a inside the histogram range increments
     the containing bin. Memory stays bounded by the event density times
     the delay window, independent of total stream length.
+
+    A pair in range is never ``span = max(dt_end_ps, 1 - dt_min_ps)`` ps or
+    more apart, so before pairing, ``feed`` drops each tag of the correlated
+    channel(s) whose neighbours among those tags are at least ``span`` away
+    on both sides. The first and last such tag of a chunk are always kept:
+    their neighbours may lie in another chunk. ``n_a`` and ``n_b`` count
+    every tag. In an auto histogram (``channel_a == channel_b``) each kept
+    tag meets itself at dt = 0; ``finish`` subtracts one self-pair per kept
+    tag from the zero bin.
     """
 
     def __init__(self, config: HistogramConfig):
@@ -166,10 +178,12 @@ class StreamCorrelator:
         self.n_b = 0
         self._lo_ps = config.dt_min_ps
         self._hi_ps = config.dt_end_ps
+        self._span_ps = max(self._hi_ps, 1 - self._lo_ps)
         self._pend_a = np.zeros(0, dtype=np.int64)
         self._pend_b = np.zeros(0, dtype=np.int64)
         self._last_ts = None
         self._auto = config.channel_a == config.channel_b
+        self._self_pairs = 0
 
     def feed(self, channels, timestamps):
         timestamps = np.asarray(timestamps, dtype=np.int64)
@@ -179,18 +193,36 @@ class StreamCorrelator:
         check_order(timestamps, self._last_ts)
         self._last_ts = int(timestamps[-1])
 
-        ta = timestamps[channels == self.config.channel_a]
+        is_a = channels == self.config.channel_a
         if self._auto:
-            tb = ta
+            t = timestamps[is_a]
+            ta = tb = t[self._partnered(t)]
+            self.n_a += len(t)
+            self.n_b += len(t)
+            self._self_pairs += len(ta)
         else:
-            tb = timestamps[channels == self.config.channel_b]
-        self.n_a += len(ta)
-        self.n_b += len(tb)
+            on = is_a | (channels == self.config.channel_b)
+            t, is_a = timestamps[on], is_a[on]
+            keep = self._partnered(t)
+            n_a = int(np.count_nonzero(is_a))
+            self.n_a += n_a
+            self.n_b += len(t) - n_a
+            ta = t[keep & is_a]
+            tb = t[keep & ~is_a]
         self._pend_a = np.concatenate([self._pend_a, ta])
         self._pend_b = np.concatenate([self._pend_b, tb])
         # Anchors whose full partner window is guaranteed present.
         cut = np.searchsorted(self._pend_a, self._last_ts - self._hi_ps, side="right")
         self._sweep(cut)
+
+    def _partnered(self, t):
+        """Mask of the sorted tags ``t`` that may pair: those at either end
+        of the chunk and those with a neighbour closer than the span."""
+        keep = np.ones(len(t), dtype=bool)
+        if len(t) > 2:
+            near = (t[1:] - t[:-1]) < self._span_ps
+            keep[1:-1] = near[:-1] | near[1:]
+        return keep
 
     def _sweep(self, n_anchors):
         if n_anchors:
@@ -220,22 +252,21 @@ class StreamCorrelator:
         self.counts += np.bincount(idx, minlength=self.config.n_bins)
 
     def finish(self, duration_s: float) -> CorrelationHistogram:
+        """The histogram of everything fed so far, in counts of its own."""
         self._sweep(len(self._pend_a))
-        counts = self.counts
-        if self._auto:
+        counts = self.counts.copy()
+        if self._auto and self._lo_ps <= 0 < self._hi_ps:
             # A tag never pairs with itself: remove the dt == 0 self-pairs.
-            if self._lo_ps <= 0 < self._hi_ps:
-                zero_bin = (0 - self._lo_ps) // self.config.bin_width_ps
-                counts[zero_bin] -= self.n_a
-            n_b = self.n_b = self.n_a
+            counts[-self._lo_ps // self.config.bin_width_ps] -= self._self_pairs
         return CorrelationHistogram(config=self.config, counts=counts,
                                     duration_s=duration_s,
                                     n_a=self.n_a, n_b=self.n_b)
 
 
-def cross_correlate(stream: TagStream, config: HistogramConfig,
+def cross_correlate(stream: TagStream | StreamReader, config: HistogramConfig,
                     duration_s: float | None = None) -> CorrelationHistogram:
-    """Correlate a whole in-memory stream.
+    """Correlate a whole stream: a ``TagStream`` in one feed, or a
+    ``StreamReader`` chunk by chunk with memory bounded by the chunk size.
 
     ``duration_s`` defaults to the gated live time recorded in the stream
     header. Auto-correlation of one HBT arm is the same operation with the
@@ -243,27 +274,14 @@ def cross_correlate(stream: TagStream, config: HistogramConfig,
     """
     if duration_s is None:
         duration_s = stream.header.acquisition_seconds
-    corr = StreamCorrelator(config)
-    corr.feed(stream.channels, stream.timestamps)
-    return corr.finish(duration_s)
-
-
-def correlate_chunks(chunks, config: HistogramConfig,
-                     duration_s: float) -> CorrelationHistogram:
-    """Correlate an iterable of (channels, timestamps) chunks."""
+    if isinstance(stream, StreamReader):
+        chunks = stream.chunks()
+    else:
+        chunks = [(stream.channels, stream.timestamps)]
     corr = StreamCorrelator(config)
     for channels, timestamps in chunks:
         corr.feed(channels, timestamps)
     return corr.finish(duration_s)
-
-
-def merge_histograms(a: CorrelationHistogram, b: CorrelationHistogram) -> CorrelationHistogram:
-    """Bin-wise sum of histograms from disjoint stream segments."""
-    if a.config != b.config:
-        raise ValidationError("histograms have different binning", field="config")
-    return CorrelationHistogram(config=a.config, counts=a.counts + b.counts,
-                                duration_s=a.duration_s + b.duration_s,
-                                n_a=a.n_a + b.n_a, n_b=a.n_b + b.n_b)
 
 
 def accidental_rate(rate_a_hz: float, rate_b_hz: float, bin_width_s: float,

@@ -285,6 +285,14 @@ class StreamReader:
             raise
         self.chunk_records = int(chunk_records)
 
+    def __len__(self):
+        """Records in the source, from its size past the header and gates;
+        a trailing partial record does not count."""
+        here = self._fh.tell()
+        size = self._fh.seek(0, 2)  # 2: relative to the end
+        self._fh.seek(here)
+        return (size - self._data_offset) // RECORD_SIZE
+
     def chunks(self):
         """Yield (channels, timestamps) array pairs of bounded size.
 
@@ -322,17 +330,9 @@ class StreamReader:
         self.close()
 
 
-def read_stream(source, mode: str = "batch"):
-    """Read a stream file.
-
-    ``mode="batch"`` materializes everything and returns a ``TagStream``;
-    ``mode="streaming"`` returns a ``StreamReader`` whose ``chunks()`` /
-    ``records()`` iterate with memory independent of stream length.
-    """
-    if mode == "streaming":
-        return StreamReader(source)
-    if mode != "batch":
-        raise ValidationError(f"unknown read mode {mode!r}", field="mode")
+def read_stream(source) -> TagStream:
+    """Read a whole stream into memory as a ``TagStream``; ``StreamReader``
+    iterates one in bounded chunks instead."""
     with StreamReader(source) as reader:
         parts = list(reader.chunks())
         if parts:

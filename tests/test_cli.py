@@ -2,13 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from biphoton import cli
+from biphoton import cli, tagio
 from biphoton.cli import main
+from biphoton.correlate import HistogramConfig, accidental_from_histogram, cross_correlate
 from biphoton.errors import (BiphotonError, CorruptionError, NonConvergenceError,
                              StreamFormatError, ValidationError)
+from biphoton.tagio import StreamHeader, StreamReader, TagStream, read_stream, write_stream
 
 PIPELINE_CONFIG = {
     "seed": 11,
@@ -161,6 +165,100 @@ class TestEdgeCases:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+def write_random_stream(path, n, seed=0, gates=None):
+    """n tags on channels 0 and 1, 1 us apart on average, so the density
+    and with it the correlator's working set do not depend on n."""
+    rng = np.random.default_rng(seed)
+    ts = np.cumsum(rng.integers(0, 2_000_000, n)).astype(np.int64)
+    ch = rng.integers(0, 2, n).astype(np.uint8)
+    header = StreamHeader(acquisition_seconds=float(ts[-1]) * 1e-12)
+    write_stream(TagStream(channels=ch, timestamps=ts, header=header,
+                           gates=gates), sink=path)
+
+
+class TestStreamingCorrelate:
+    N = 200_000  # four reader chunks of 2**16 records
+
+    @pytest.fixture(scope="class")
+    def stream(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("stream") / "random.tags"
+        write_random_stream(path, self.N, gates=[(0, 1 << 40)])
+        return path
+
+    @pytest.mark.parametrize("flags, cfg", [
+        ([], HistogramConfig()),
+        (["--channel-a", "1", "--channel-b", "1", "--dt-min", "-100",
+          "--dt-max", "100"],
+         HistogramConfig(dt_min=-100.0, dt_max=100.0, channel_a=1, channel_b=1))])
+    def test_outputs_match_the_batch_path(self, stream, tmp_path, capsys,
+                                          flags, cfg):
+        out = tmp_path / "cli.csv"
+        assert main(["correlate", "--input", str(stream), "--out", str(out),
+                     *flags]) == 0
+        hist = cross_correlate(read_stream(stream), cfg)
+        acc = accidental_from_histogram(hist)
+        ref = tmp_path / "batch.csv"
+        hist.export_csv(ref, accidental=acc, sidecar=str(ref) + ".meta.json")
+        assert out.read_bytes() == ref.read_bytes()
+        assert (tmp_path / "cli.csv.meta.json").read_bytes() == \
+            (tmp_path / "batch.csv.meta.json").read_bytes()
+
+    def test_never_reads_the_whole_stream(self, stream, tmp_path, monkeypatch,
+                                          capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("correlate loaded the whole stream")
+
+        monkeypatch.setattr(tagio, "read_stream", refuse)
+        monkeypatch.setattr(cli, "read_stream", refuse, raising=False)
+        assert main(["correlate", "--input", str(stream),
+                     "--out", str(tmp_path / "h.csv")]) == 0
+
+    @pytest.mark.parametrize("damage, code", [("disorder", 2), ("truncate", 4)])
+    def test_damage_past_the_first_chunk_leaves_no_csv(self, stream, tmp_path,
+                                                       capsys, damage, code):
+        raw = bytearray(stream.read_bytes())
+        record = len(raw) - 8 * (self.N // 4)
+        if damage == "disorder":
+            raw[record:record + 8] = bytes(8)  # timestamp 0 on channel 0
+        else:
+            del raw[record + 3:]
+        bad = tmp_path / "bad.tags"
+        bad.write_bytes(bytes(raw))
+        out = tmp_path / "h.csv"
+        assert main(["correlate", "--input", str(bad), "--out", str(out)]) == code
+        assert not out.exists()
+        assert not (tmp_path / "h.csv.meta.json").exists()
+
+    def test_reader_length_counts_whole_records(self, stream, tmp_path):
+        with StreamReader(stream) as reader:
+            assert len(reader) == self.N
+            assert len(list(reader.chunks())) == 4
+            assert len(reader) == self.N
+        cut = tmp_path / "cut.tags"
+        cut.write_bytes(stream.read_bytes()[:-3])
+        with StreamReader(cut) as reader:
+            assert len(reader) == self.N - 1
+
+
+def test_correlate_memory_is_bounded_by_chunk_not_file(tmp_path, capsys):
+    # Reading the 10x file whole would take about 40 MiB; the streaming
+    # path holds a few reader chunks and the correlator's window.
+    bound = 6 << 20
+    peaks = []
+    for n in (100_000, 1_000_000):
+        path = tmp_path / f"{n}.tags"
+        write_random_stream(path, n)
+        tracemalloc.start()
+        try:
+            assert main(["correlate", "--input", str(path),
+                         "--out", str(tmp_path / f"{n}.csv")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert os.path.getsize(path) > bound
+    assert max(peaks) < bound, peaks
 
 
 @pytest.mark.parametrize("error, code", [

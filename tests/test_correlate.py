@@ -6,8 +6,7 @@ from oracles import brute_force_histogram
 from biphoton.correlate import (AccidentalEstimate, HistogramConfig,
                                 StreamCorrelator, accidental_from_wings,
                                 accidental_rate, coincidence_rate,
-                                correlate_chunks, cross_correlate,
-                                merge_histograms, normalize)
+                                cross_correlate, normalize)
 from biphoton.errors import OrderingError, ValidationError
 from biphoton.tagio import StreamHeader, TagStream
 
@@ -17,6 +16,13 @@ def random_stream(rng, n, t_max_ps=2_000_000, n_channels=2):
     ch = rng.integers(0, n_channels, n).astype(np.uint8)
     return TagStream(channels=ch, timestamps=ts,
                      header=StreamHeader(acquisition_seconds=t_max_ps * 1e-12))
+
+
+def feed_in_chunks(stream, config, size):
+    corr = StreamCorrelator(config)
+    for i in range(0, len(stream), size):
+        corr.feed(stream.channels[i:i + size], stream.timestamps[i:i + size])
+    return corr.finish(stream.header.acquisition_seconds)
 
 
 def brute(stream, config):
@@ -83,9 +89,7 @@ class TestCorrelator:
         stream = random_stream(rng, 5000)
         batch = cross_correlate(stream, cfg)
         for size in (1, 7, 100, 4999):
-            chunks = ((stream.channels[i:i + size], stream.timestamps[i:i + size])
-                      for i in range(0, len(stream), size))
-            chunked = correlate_chunks(chunks, cfg, stream.header.acquisition_seconds)
+            chunked = feed_in_chunks(stream, cfg, size)
             assert np.array_equal(chunked.counts, batch.counts)
             assert (chunked.n_a, chunked.n_b) == (batch.n_a, batch.n_b)
 
@@ -105,30 +109,83 @@ class TestCorrelator:
         hist = cross_correlate(stream, HistogramConfig())
         assert hist.total_coincidences == 0
 
-    def test_merge_equals_single_pass_on_disjoint_segments(self):
-        rng = np.random.default_rng(17)
-        cfg = HistogramConfig(bin_width=2.0, dt_min=-20, dt_max=20)
-        # Two segments far apart so no cross-segment pairs exist.
-        s1 = random_stream(rng, 1000, t_max_ps=1_000_000)
-        ts2 = np.sort(rng.integers(5_000_000, 6_000_000, 1000)).astype(np.int64)
-        s2 = TagStream(channels=rng.integers(0, 2, 1000).astype(np.uint8),
-                       timestamps=ts2, header=StreamHeader(acquisition_seconds=1e-6))
-        whole = TagStream(
-            channels=np.concatenate([s1.channels, s2.channels]),
-            timestamps=np.concatenate([s1.timestamps, s2.timestamps]),
-            header=StreamHeader(acquisition_seconds=2e-6))
-        merged = merge_histograms(cross_correlate(s1, cfg), cross_correlate(s2, cfg))
-        single = cross_correlate(whole, cfg)
-        assert np.array_equal(merged.counts, single.counts)
-        assert merged.duration_s == pytest.approx(single.duration_s)
+    def test_finish_returns_counts_of_its_own(self):
+        # A histogram already returned must not change, nor may a second
+        # finish subtract the auto self-pairs again.
+        auto = HistogramConfig(bin_width=1.0, dt_min=-10, dt_max=10,
+                               channel_a=0, channel_b=0)
+        corr = StreamCorrelator(auto)
+        corr.feed([0, 0, 0], [0, 1_000, 2_000])
+        first = corr.finish(1.0)
+        kept = first.counts.copy()
+        assert kept.sum() == 6
+        second = corr.finish(1.0)
+        assert np.array_equal(first.counts, kept)
+        assert np.array_equal(second.counts, kept)
+        assert second.counts is not first.counts
 
-    def test_merge_rejects_different_binning(self):
-        a = cross_correlate(random_stream(np.random.default_rng(0), 10),
-                            HistogramConfig(bin_width=1.0))
-        b = cross_correlate(random_stream(np.random.default_rng(0), 10),
-                            HistogramConfig(bin_width=2.0))
-        with pytest.raises(ValidationError):
-            merge_histograms(a, b)
+
+class TestIsolatedTagPrefilter:
+    """Dropping tags with no partner in reach leaves every count exact."""
+
+    CROSS = HistogramConfig(bin_width=1.0, dt_min=-20, dt_max=30)
+    AUTO = HistogramConfig(bin_width=1.0, dt_min=-20, dt_max=30,
+                           channel_a=1, channel_b=1)
+    # dt_min > 0: the window does not contain 0, and span = dt_end.
+    LATE = HistogramConfig(bin_width=1.0, dt_min=5, dt_max=30)
+
+    def check(self, stream, cfg):
+        expected = brute(stream, cfg)
+        n_a = int(np.count_nonzero(stream.channels == cfg.channel_a))
+        n_b = int(np.count_nonzero(stream.channels == cfg.channel_b))
+        for size in (1, 2, 7, max(len(stream), 1)):
+            hist = feed_in_chunks(stream, cfg, size)
+            assert np.array_equal(hist.counts, expected), size
+            assert (hist.n_a, hist.n_b) == (n_a, n_b), size
+
+    def check_all(self, channels, timestamps):
+        stream = TagStream(channels=np.asarray(channels, np.uint8),
+                           timestamps=np.asarray(timestamps, np.int64),
+                           header=StreamHeader(acquisition_seconds=1.0))
+        for cfg in (self.CROSS, self.AUTO, self.LATE):
+            self.check(stream, cfg)
+
+    def test_sparse_random_streams(self):
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            # Mean spacing 100 ns against a 30 ns span: most tags are isolated.
+            stream = random_stream(rng, 300, t_max_ps=30_000_000, n_channels=3)
+            self.check_all(stream.channels, stream.timestamps)
+
+    def test_equal_timestamps(self):
+        # Equal times on one channel, then across both, between isolated tags.
+        self.check_all([1, 1, 1, 0, 1, 0, 0, 1, 1],
+                       [0, 100_000, 100_000, 200_000, 200_000, 200_000,
+                        300_000, 300_000, 400_000])
+
+    @pytest.mark.parametrize("cfg", [
+        CROSS, AUTO, LATE,
+        # Reach set by the negative side: span = 1 - dt_min > dt_end.
+        HistogramConfig(bin_width=1.0, dt_min=-40, dt_max=10),
+        HistogramConfig(bin_width=1.0, dt_min=-40, dt_max=10,
+                        channel_a=0, channel_b=0)])
+    def test_gap_of_span_and_span_minus_one(self, cfg):
+        span = max(cfg.dt_end_ps, 1 - cfg.dt_min_ps)
+        # Tags exactly span apart pair with nothing; span - 1 apart they may.
+        ts = np.array([0, span, 10 * span, 11 * span - 1], np.int64)
+        for channels in ([0, 1, 0, 1], [1, 0, 1, 0], [0, 0, 0, 0]):
+            self.check(TagStream(channels=np.array(channels, np.uint8),
+                                 timestamps=ts), cfg)
+
+    def test_isolated_tag_at_a_chunk_edge(self):
+        # With chunks of 2 and 7, the isolated tag at 1 ms opens or closes a
+        # chunk, next to a partnered pair in the chunk beside it.
+        ch = [0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1]
+        ts = [0, 5_000, 200_000, 205_000, 400_000, 405_000, 1_000_000,
+              1_600_000, 1_605_000, 1_610_000, 2_000_000, 2_001_000,
+              2_002_000, 3_000_000]
+        self.check_all(ch, ts)
+        self.check_all(ch[1:], ts[1:])
 
 
 class TestAccidentals:

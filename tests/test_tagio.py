@@ -289,7 +289,7 @@ class TestStreaming:
 
     def test_streaming_equals_batch(self):
         buf, ch, ts = self.build()
-        reader = read_stream(buf, mode="streaming")
+        reader = StreamReader(buf, chunk_records=999)
         parts = list(reader.chunks())
         assert np.array_equal(np.concatenate([p[0] for p in parts]), ch)
         assert np.array_equal(np.concatenate([p[1] for p in parts]), ts)
