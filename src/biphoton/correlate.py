@@ -3,17 +3,14 @@ cross/auto correlation, accidental estimates, and g2 normalization.
 
 ``StreamCorrelator`` consumes time-ordered chunks, so a stream read through
 ``StreamReader`` is histogrammed with memory bounded by the chunk size, not
-by the file size. Each chunk first drops its isolated tags, those with no
-tag of the correlated channel(s) close enough to pair with; they are only
-counted. An auto histogram never pairs a tag with itself: one dt = 0
-self-pair per kept tag is removed from the zero bin.
+by the file size. Each tag is compared with the ones 1, 2, ... places
+before it until they are out of reach, never with itself.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +26,8 @@ class HistogramConfig:
     """Binning of the delay axis dt = t_b - t_a, in ns.
 
     The delay axis is tiled by ``n_bins`` half-open bins of ``bin_width``
-    starting at ``dt_min``; bin widths are rounded to integer ps.
+    starting at ``dt_min``; the width and both ends are rounded to integer
+    ps. Channels are the 8-bit channel numbers of the tag stream.
     """
 
     bin_width: float = 1.4
@@ -41,10 +39,13 @@ class HistogramConfig:
     def __post_init__(self):
         if self.bin_width <= 0:
             raise ValidationError("bin_width must be positive", field="bin_width")
-        if not self.dt_min < self.dt_max:
+        if not self.dt_min_ps < self.dt_max_ps:
             raise ValidationError("dt_min must be below dt_max", field="dt_min")
         if self.bin_width_ps < 1:
             raise ValidationError("bin_width below 1 ps", field="bin_width")
+        for name in ("channel_a", "channel_b"):
+            if getattr(self, name) not in range(256):
+                raise ValidationError("channel must be an integer in 0-255", field=name)
 
     @property
     def bin_width_ps(self) -> int:
@@ -55,8 +56,12 @@ class HistogramConfig:
         return int(round(self.dt_min * NS_TO_PS))
 
     @property
+    def dt_max_ps(self) -> int:
+        return int(round(self.dt_max * NS_TO_PS))
+
+    @property
     def n_bins(self) -> int:
-        return int(math.ceil((self.dt_max - self.dt_min) / self.bin_width))
+        return -((self.dt_min_ps - self.dt_max_ps) // self.bin_width_ps)
 
     @property
     def dt_end_ps(self) -> int:
@@ -158,17 +163,13 @@ class StreamCorrelator:
 
     Feed (channels, timestamps) chunks in global time order; every ordered
     pair (a, b) with dt = t_b - t_a inside the histogram range increments
-    the containing bin. Memory stays bounded by the event density times
-    the delay window, independent of total stream length.
-
-    A pair in range is never ``span = max(dt_end_ps, 1 - dt_min_ps)`` ps or
-    more apart, so before pairing, ``feed`` drops each tag of the correlated
-    channel(s) whose neighbours among those tags are at least ``span`` away
-    on both sides. The first and last such tag of a chunk are always kept:
-    their neighbours may lie in another chunk. ``n_a`` and ``n_b`` count
-    every tag. In an auto histogram (``channel_a == channel_b``) each kept
-    tag meets itself at dt = 0; ``finish`` subtracts one self-pair per kept
-    tag from the zero bin.
+    the containing bin. A pair in range is less than
+    ``span = max(dt_end_ps, 1 - dt_min_ps)`` ps apart, so each sorted tag
+    of the correlated channel(s) meets the tags 1, 2, ... places before it
+    until one is a span away. Tags d apart land at +d when the earlier is
+    on channel a, at -d when it is on b, and at both in an auto histogram.
+    The tags within a span of a chunk's end are carried into the next
+    feed, so memory stays bounded by the chunk plus one span of tags.
     """
 
     def __init__(self, config: HistogramConfig):
@@ -179,11 +180,10 @@ class StreamCorrelator:
         self._lo_ps = config.dt_min_ps
         self._hi_ps = config.dt_end_ps
         self._span_ps = max(self._hi_ps, 1 - self._lo_ps)
-        self._pend_a = np.zeros(0, dtype=np.int64)
-        self._pend_b = np.zeros(0, dtype=np.int64)
-        self._last_ts = None
         self._auto = config.channel_a == config.channel_b
-        self._self_pairs = 0
+        self._carry_t = np.zeros(0, dtype=np.int64)
+        self._carry_a = np.zeros(0, dtype=np.int8)
+        self._last_ts = None
 
     def feed(self, channels, timestamps):
         timestamps = np.asarray(timestamps, dtype=np.int64)
@@ -194,71 +194,66 @@ class StreamCorrelator:
         self._last_ts = int(timestamps[-1])
 
         is_a = channels == self.config.channel_a
-        if self._auto:
-            t = timestamps[is_a]
-            ta = tb = t[self._partnered(t)]
-            self.n_a += len(t)
-            self.n_b += len(t)
-            self._self_pairs += len(ta)
-        else:
-            on = is_a | (channels == self.config.channel_b)
-            t, is_a = timestamps[on], is_a[on]
-            keep = self._partnered(t)
-            n_a = int(np.count_nonzero(is_a))
-            self.n_a += n_a
-            self.n_b += len(t) - n_a
-            ta = t[keep & is_a]
-            tb = t[keep & ~is_a]
-        self._pend_a = np.concatenate([self._pend_a, ta])
-        self._pend_b = np.concatenate([self._pend_b, tb])
-        # Anchors whose full partner window is guaranteed present.
-        cut = np.searchsorted(self._pend_a, self._last_ts - self._hi_ps, side="right")
-        self._sweep(cut)
-
-    def _partnered(self, t):
-        """Mask of the sorted tags ``t`` that may pair: those at either end
-        of the chunk and those with a neighbour closer than the span."""
-        keep = np.ones(len(t), dtype=bool)
-        if len(t) > 2:
-            near = (t[1:] - t[:-1]) < self._span_ps
-            keep[1:-1] = near[:-1] | near[1:]
-        return keep
-
-    def _sweep(self, n_anchors):
-        if n_anchors:
-            anchors = self._pend_a[:n_anchors]
-            self._count_pairs(anchors, self._pend_b)
-            self._pend_a = self._pend_a[n_anchors:]
-        # Partners below every remaining window can be dropped.
-        horizon = self._pend_a[0] if len(self._pend_a) else (
-            self._last_ts if self._last_ts is not None else 0)
-        keep_from = np.searchsorted(self._pend_b, horizon + self._lo_ps, side="left")
-        self._pend_b = self._pend_b[keep_from:]
-
-    def _count_pairs(self, ta, tb):
-        if len(ta) == 0 or len(tb) == 0:
+        on = is_a if self._auto else is_a | (channels == self.config.channel_b)
+        new_t = np.compress(on, timestamps)
+        new_a = np.compress(on, is_a).view(np.int8)
+        n_a = int(np.count_nonzero(new_a))
+        self.n_a += n_a
+        self.n_b += n_a if self._auto else len(new_t) - n_a
+        if len(new_t) == 0:
             return
-        lo = np.searchsorted(tb, ta + self._lo_ps, side="left")
-        hi = np.searchsorted(tb, ta + self._hi_ps, side="left")
-        per = hi - lo
-        total = int(per.sum())
-        if total == 0:
-            return
-        # Expand (anchor, partner-range) pairs without a Python loop.
-        reps = np.repeat(np.arange(len(ta)), per)
-        offsets = np.arange(total) - np.repeat(np.cumsum(per) - per, per)
-        dt = tb[lo[reps] + offsets] - ta[reps]
-        idx = (dt - self._lo_ps) // self.config.bin_width_ps
-        self.counts += np.bincount(idx, minlength=self.config.n_bins)
+
+        # t[0] is a sentinel a span before every tag: it pairs with none.
+        head = self._carry_t[0] if len(self._carry_t) else new_t[0]
+        t = np.concatenate([[head - self._span_ps], self._carry_t, new_t])
+        a = np.concatenate([np.zeros(1, np.int8), self._carry_a, new_a])
+        dt = self._delays(t, a, 1 + len(self._carry_t))
+        dt = np.compress((dt >= self._lo_ps) & (dt < self._hi_ps), dt)
+        self.counts += np.bincount((dt - self._lo_ps) // self.config.bin_width_ps,
+                                   minlength=self.config.n_bins)
+        keep = np.searchsorted(t, self._last_ts - self._span_ps, side="right")
+        self._carry_t, self._carry_a = t[keep:].copy(), a[keep:].copy()
+
+    def _delays(self, t, a, first):
+        """Delays t_b - t_a of the pairs less than a span apart whose later
+        tag is ``t[first:]``; ``t[0]`` is a sentinel a span before the rest
+        and ``a`` is 1 on channel-a tags. Offsets past 7 go in blocks of 8,
+        16, 32, ..., so a burst of n tags within a span takes about
+        log2(n) + 5 passes and at most twice the comparisons it has pairs.
+        """
+        d = t[first:] - t[first - 1:-1]
+        j = np.flatnonzero(d < self._span_ps)
+        d = d[j]
+        j += first
+        later, earlier = j, j - 1
+        out = []
+        k = 2
+        while True:
+            if self._auto:
+                out += [d, -d]
+            else:
+                # +1 for (a, b), -1 for (b, a), 0 for a pair on one channel.
+                sign = a[earlier] - a[later]
+                out.append(np.compress(sign != 0, d * sign))
+            if not len(j):
+                return np.concatenate(out)
+            width = 1 if k < 8 else k
+            if width == 1:
+                later, earlier = j, j - k
+            else:
+                later = np.repeat(j, width)
+                earlier = later - np.tile(np.arange(k, k + width), len(j))
+            np.maximum(earlier, 0, out=earlier)  # past the start: the sentinel
+            d = t[later] - t[earlier]
+            near = d < self._span_ps
+            j = np.compress(near[width - 1::width], j)
+            later = j if width == 1 else np.compress(near, later)
+            earlier, d = np.compress(near, earlier), np.compress(near, d)
+            k += width
 
     def finish(self, duration_s: float) -> CorrelationHistogram:
         """The histogram of everything fed so far, in counts of its own."""
-        self._sweep(len(self._pend_a))
-        counts = self.counts.copy()
-        if self._auto and self._lo_ps <= 0 < self._hi_ps:
-            # A tag never pairs with itself: remove the dt == 0 self-pairs.
-            counts[-self._lo_ps // self.config.bin_width_ps] -= self._self_pairs
-        return CorrelationHistogram(config=self.config, counts=counts,
+        return CorrelationHistogram(config=self.config, counts=self.counts.copy(),
                                     duration_s=duration_s,
                                     n_a=self.n_a, n_b=self.n_b)
 

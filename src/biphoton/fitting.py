@@ -7,7 +7,8 @@ The convolved models use the exponential (x) Gaussian closed form derived
 from scratch; they are validated against direct numerical quadrature of
 the convolution integral in the test suite. Evaluation is guarded against
 overflow by switching to the scaled complementary error function where the
-naive exponent grows.
+naive exponent grows. Each model has a closed-form Jacobian, which the
+solver uses instead of finite differences.
 """
 
 from __future__ import annotations
@@ -99,6 +100,68 @@ def model_eval(kind: ModelKind, params, x):
     raise ValidationError(f"unknown model kind {kind}", field="kind")
 
 
+def exp_gauss_grad(t, tau, sigma):
+    """``exp_gauss`` f with df/dtau and df/dsigma. With g the unit Gaussian
+    exp(-t^2/(2 sigma^2))/sqrt(2 pi), df/dtau = (f (t - sigma^2/tau) +
+    g sigma)/tau^2 and df/dsigma = f sigma/tau^2 - g (1/tau + t/sigma^2);
+    at sigma = 0, g and df/dsigma are taken as 0."""
+    t = np.asarray(t, dtype=float)
+    f = exp_gauss(t, tau, sigma)
+    if sigma == 0:
+        return f, f * t / tau**2, np.zeros_like(f)
+    g = np.exp(-t * t / (2 * sigma * sigma)) / math.sqrt(2.0 * math.pi)
+    return (f, (f * (t - sigma * sigma / tau) + g * sigma) / tau**2,
+            f * sigma / tau**2 - g * (1.0 / tau + t / sigma**2))
+
+
+def model_jacobian(kind: ModelKind, params, x, bin_width: float = 0.0):
+    """Derivatives of ``model_eval_binned`` in each parameter, on a last
+    axis after the shape of ``x``."""
+    if bin_width > 0:
+        return _bin_average(lambda nodes: model_jacobian(kind, params, nodes),
+                            x, bin_width)
+    params = np.asarray(params, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if kind is ModelKind.ABSORPTION_OD:
+        od, gamma, center = params
+        d = x - center
+        denom = gamma * gamma + 4.0 * d * d
+        transmission = np.exp(-od * gamma * gamma / denom)
+        # -od T times the Lorentzian's derivatives in gamma and center.
+        scale = -8.0 * od * gamma * transmission / denom**2
+        return np.stack([-gamma * gamma / denom * transmission,
+                         scale * d * d, scale * gamma * d], axis=-1)
+    amplitude, tau_c, tau_d, _ = params
+    if kind is ModelKind.CROSS_CONVOLVED:
+        f, d_tau, d_sigma = exp_gauss_grad(x, tau_c, tau_d)
+    elif tau_d == 0:
+        f = np.exp(-2.0 * np.abs(x) / tau_c)
+        d_tau, d_sigma = f * 2.0 * np.abs(x) / tau_c**2, np.zeros_like(x)
+    else:
+        # Both terms at tau_c / 2 in one call, so d/dtau_c is half d/dtau.
+        f, d_half, d_sigma = (v.sum(axis=0) for v in
+                              exp_gauss_grad(np.stack([x, -x]), tau_c / 2.0, tau_d))
+        d_tau = d_half / 2.0
+    return np.stack([f, amplitude * d_tau, amplitude * d_sigma, np.ones_like(x)],
+                    axis=-1)
+
+
+_GL_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
+_GL_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+
+
+def _bin_average(evaluate, centers, bin_width):
+    """3-point Gauss-Legendre average over each bin of ``evaluate``, called
+    once on every bin's nodes, one leading row per node."""
+    centers = np.asarray(centers, dtype=float)
+    values = evaluate(centers + 0.5 * bin_width
+                      * _GL_NODES.reshape((3,) + (1,) * centers.ndim))
+    acc = np.zeros_like(values[0])
+    for w, v in zip(_GL_WEIGHTS, values):
+        acc += w * v
+    return acc
+
+
 def model_eval_binned(kind: ModelKind, params, centers, bin_width):
     """Bin-averaged model: 3-point Gauss-Legendre average over each bin.
 
@@ -107,13 +170,7 @@ def model_eval_binned(kind: ModelKind, params, centers, bin_width):
     """
     if bin_width <= 0:
         return model_eval(kind, params, centers)
-    nodes = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
-    weights = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
-    centers = np.asarray(centers, dtype=float)
-    acc = np.zeros_like(centers)
-    for node, w in zip(nodes, weights):
-        acc += w * model_eval(kind, params, centers + 0.5 * bin_width * node)
-    return acc
+    return _bin_average(lambda x: model_eval(kind, params, x), centers, bin_width)
 
 
 def _require_positive(**kv):
@@ -218,10 +275,17 @@ def fit(x, y, sigma_y, kind: ModelKind, initial_params, *,
                               field="x")
     bounds = (np.asarray(LOWER_BOUNDS[kind])[free_idx], np.inf)
 
-    def residual_fn(p_free):
+    def with_free(p_free):
         full = p_full.copy()
         full[free_idx] = p_free
-        return (model_eval_binned(kind, full, x, bin_width) - y) / sigma_y
+        return full
+
+    def residual_fn(p_free):
+        return (model_eval_binned(kind, with_free(p_free), x, bin_width) - y) / sigma_y
+
+    def jac_fn(p_free):
+        jac = model_jacobian(kind, with_free(p_free), x, bin_width)
+        return jac[:, free_idx] / sigma_y[:, None]
 
     # Scaling by exp(normal) keeps each start's signs, so every start is
     # inside the domain checked above.
@@ -231,7 +295,7 @@ def fit(x, y, sigma_y, kind: ModelKind, initial_params, *,
         p_start = p_full[free_idx]
         if start > 0:
             p_start = p_start * np.exp(rng.normal(0.0, 0.2, size=len(p_start)))
-        res = least_squares(residual_fn, p_start, bounds=bounds,
+        res = least_squares(residual_fn, p_start, jac=jac_fn, bounds=bounds,
                             max_nfev=MAX_ITERATIONS)
         chi2 = float(res.fun @ res.fun)
         key = (chi2, tuple(res.x))

@@ -154,6 +154,14 @@ class TestEdgeCases:
                      "--out", str(tmp_path / "h.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("channel", ["256", "-1"])
+    def test_channel_outside_8_bits_exits_2(self, workspace, tmp_path, channel):
+        out = tmp_path / "h.csv"
+        code = main(["correlate", "--input", str(workspace["stream"]),
+                     "--out", str(out), "--channel-a", channel])
+        assert code == 2
+        assert not out.exists()
+
     def test_fit_without_accidental_floor_exits_2(self, tmp_path):
         csv_path = tmp_path / "h.csv"
         csv_path.write_text("bin_center_ns,counts\n0.0,5\n1.0,3\n")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_histogram
 
@@ -44,6 +46,26 @@ class TestHistogramConfig:
             HistogramConfig(bin_width=0.0)
         with pytest.raises(ValidationError):
             HistogramConfig(dt_min=10, dt_max=10)
+        with pytest.raises(ValidationError):
+            HistogramConfig(dt_min=10, dt_max=10.0001)
+
+    @pytest.mark.parametrize("field", ["channel_a", "channel_b"])
+    @pytest.mark.parametrize("channel", [-1, 256, 1.5])
+    def test_channel_outside_8_bits_rejected(self, field, channel):
+        with pytest.raises(ValidationError) as exc:
+            HistogramConfig(**{field: channel})
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("bin_width, dt_min, dt_max, n_bins", [
+        (1.4, -50, 350, 286), (1.4, -100, 100, 143),
+        # Widths that round to whole ps: 1.4 ps -> 1 ps, 2.5 ps -> 2 ps.
+        (0.0014, -50, 350, 400_000), (0.0025, -1, 1, 1000)])
+    def test_bins_reach_dt_max_after_rounding(self, bin_width, dt_min, dt_max,
+                                              n_bins):
+        cfg = HistogramConfig(bin_width=bin_width, dt_min=dt_min, dt_max=dt_max)
+        assert cfg.n_bins == n_bins
+        assert cfg.dt_end_ps >= cfg.dt_max_ps
+        assert cfg.dt_end_ps - cfg.bin_width_ps < cfg.dt_max_ps
 
 
 class TestCorrelator:
@@ -110,8 +132,8 @@ class TestCorrelator:
         assert hist.total_coincidences == 0
 
     def test_finish_returns_counts_of_its_own(self):
-        # A histogram already returned must not change, nor may a second
-        # finish subtract the auto self-pairs again.
+        # A histogram already returned must not change when the correlator
+        # is finished again.
         auto = HistogramConfig(bin_width=1.0, dt_min=-10, dt_max=10,
                                channel_a=0, channel_b=0)
         corr = StreamCorrelator(auto)
@@ -126,7 +148,8 @@ class TestCorrelator:
 
 
 class TestIsolatedTagPrefilter:
-    """Dropping tags with no partner in reach leaves every count exact."""
+    """Tags with no partner in reach, next to partnered ones and at chunk
+    edges, leave every count exact."""
 
     CROSS = HistogramConfig(bin_width=1.0, dt_min=-20, dt_max=30)
     AUTO = HistogramConfig(bin_width=1.0, dt_min=-20, dt_max=30,
@@ -186,6 +209,56 @@ class TestIsolatedTagPrefilter:
               2_002_000, 3_000_000]
         self.check_all(ch, ts)
         self.check_all(ch[1:], ts[1:])
+
+
+class TestNeighbourSweep:
+    """The offset sweep equals the all-pairs oracle for any stream, window
+    and chunking."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tags=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 25)),
+                         max_size=60),
+           dt_min_ps=st.integers(-40, 40), bin_width_ps=st.integers(1, 6),
+           n_bins=st.integers(1, 15),
+           pair=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+           cuts=st.lists(st.integers(1, 59), max_size=8))
+    def test_equals_brute_force(self, tags, dt_min_ps, bin_width_ps, n_bins,
+                                pair, cuts):
+        # Gaps of 0-25 ps against windows of a few ps to about 100 ps give
+        # equal times, dense runs and isolated tags; windows may hold 0 or
+        # lie wholly on either side of it.
+        channels = np.array([c for c, _ in tags], np.uint8)
+        timestamps = np.cumsum([g for _, g in tags], dtype=np.int64)
+        cfg = HistogramConfig(bin_width=bin_width_ps / 1000,
+                              dt_min=dt_min_ps / 1000,
+                              dt_max=(dt_min_ps + n_bins * bin_width_ps) / 1000,
+                              channel_a=pair[0], channel_b=pair[1])
+        assert (cfg.dt_min_ps, cfg.n_bins) == (dt_min_ps, n_bins)
+        corr = StreamCorrelator(cfg)
+        bounds = sorted({c for c in cuts if c < len(tags)})
+        for ch, ts in zip(np.split(channels, bounds), np.split(timestamps, bounds)):
+            corr.feed(ch, ts)
+        hist = corr.finish(1.0)
+        stream = TagStream(channels=channels, timestamps=timestamps)
+        assert np.array_equal(hist.counts, brute(stream, cfg))
+        assert hist.n_a == np.count_nonzero(channels == pair[0])
+        assert hist.n_b == np.count_nonzero(channels == pair[1])
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 0), (1, 1)])
+    def test_burst_carried_past_many_chunks(self, pair):
+        # 200 tags 100 ps apart sit inside one 30 ns span, between isolated
+        # tags; fed 3 at a time, the carried tail holds far more tags than
+        # a chunk.
+        rng = np.random.default_rng(17)
+        ts = np.concatenate([[0], 1_000_000 + 100 * np.arange(200),
+                             [1_030_000, 2_000_000]]).astype(np.int64)
+        stream = TagStream(channels=rng.integers(0, 2, len(ts)).astype(np.uint8),
+                           timestamps=ts)
+        cfg = HistogramConfig(bin_width=0.5, dt_min=-20, dt_max=30,
+                              channel_a=pair[0], channel_b=pair[1])
+        expected = brute(stream, cfg)
+        assert expected.sum() > 5000
+        assert np.array_equal(feed_in_chunks(stream, cfg, 3).counts, expected)
 
 
 class TestAccidentals:

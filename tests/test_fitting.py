@@ -5,8 +5,8 @@ from oracles import auto_model, cross_model
 
 from biphoton.errors import ValidationError
 from biphoton.fitting import (DEFAULT_FIXED, PARAM_NAMES, ModelKind,
-                              exp_gauss, fit, initial_guess, model_eval,
-                              model_eval_binned)
+                              exp_gauss, exp_gauss_grad, fit, initial_guess,
+                              model_eval, model_eval_binned, model_jacobian)
 
 
 def perturbed_start(kind, truth, factor=1.3):
@@ -85,6 +85,43 @@ class TestConvolutionOracle:
         tiny = model_eval_binned(ModelKind.CROSS_CONVOLVED, params, centers, 1e-6)
         assert not np.allclose(coarse, fine, rtol=1e-4)
         assert np.allclose(tiny, fine, rtol=1e-8)
+
+
+class TestJacobian:
+    """The analytic Jacobians equal central differences of the models."""
+
+    @staticmethod
+    def random_params(rng, kind):
+        if kind is ModelKind.ABSORPTION_OD:
+            return (np.array([rng.uniform(0.1, 30.0), rng.uniform(1.0, 20.0),
+                              rng.uniform(-20.0, 20.0)]),
+                    np.linspace(-100, 100, 61))
+        tau_c = rng.uniform(0.5, 30.0)
+        params = np.array([rng.uniform(0.1, 100.0), tau_c,
+                           rng.uniform(0.01, 2.0) * tau_c, rng.uniform(0.0, 2.0)])
+        return params, np.linspace(-3 * tau_c, 6 * tau_c, 61)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_matches_central_differences(self, kind):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            params, x = self.random_params(rng, kind)
+            bin_width = rng.choice([0.0, rng.uniform(0.1, 3.0)])
+            jac = model_jacobian(kind, params, x, bin_width)
+            assert jac.shape == (len(x), len(params))
+            for k in range(len(params)):
+                h = 1e-6 * abs(params[k]) + 1e-9
+                up, down = params.copy(), params.copy()
+                up[k] += h
+                down[k] -= h
+                numeric = (model_eval_binned(kind, up, x, bin_width)
+                           - model_eval_binned(kind, down, x, bin_width)) / (2 * h)
+                scale = np.max(np.abs(numeric)) + 1e-12
+                assert np.max(np.abs(jac[:, k] - numeric)) < 1e-6 * scale, (kind, k)
+
+    def test_exp_gauss_grad_extreme_arguments_stay_finite(self):
+        for values in exp_gauss_grad(np.array([-1e3, -10.0, 0.0, 10.0, 1e3]), 1.0, 0.1):
+            assert np.all(np.isfinite(values))
 
 
 class TestFit:
