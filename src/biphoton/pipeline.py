@@ -3,6 +3,11 @@ detection -> tag stream. The gate windows are one ``(n, 2)`` int64 array
 (see ``tagio.check_gates``), shared by every stage and written to the
 stream's gate table.
 
+Each species travels as one sorted int64 ps time array: its pair times,
+merged with its chaotic singles when it has any, go through its own
+detector into one channel, and ``tagio.merge_streams`` merges the two
+channels once, signal first among equal times.
+
 All randomness derives from the config's root seed through a fixed
 spawn order (pairs, signal chaotic, idler chaotic, signal detector, idler
 detector), so partial re-runs of one stage stay consistent with the rest.
@@ -18,8 +23,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .sequence import compile_duty_cycle, emit_gates
-from .simulate import (IDLER, SIGNAL, detect, generate_chaotic_gated,
-                       generate_pairs, merge_batches)
+from .simulate import detect, generate_chaotic_gated, generate_pairs
 from .tagio import StreamHeader, TagStream, merge_streams, total_gate_time_ps
 
 SIGNAL_CHANNEL = 0
@@ -46,6 +50,14 @@ def derive_stage_seeds(root_seed: int):
     }
 
 
+def _species_times(paired: np.ndarray, chaotic: np.ndarray) -> np.ndarray:
+    """One species' emission times, sorted: a stable sort merges the two
+    sorted runs in one pass."""
+    if not len(chaotic):
+        return paired
+    return np.sort(np.concatenate([paired, chaotic]), kind="stable")
+
+
 def simulate_experiment(config: ExperimentConfig, config_hash: str = "") -> SimulationResult:
     program = compile_duty_cycle(config.duty_cycle, config.hardware)
     gates = emit_gates(program, config.duty_cycle.gate_channel)
@@ -57,17 +69,15 @@ def simulate_experiment(config: ExperimentConfig, config_hash: str = "") -> Simu
                                        seeds["chaotic_signal"])
     chaotic_i = generate_chaotic_gated(config.source, "idler", gates,
                                        seeds["chaotic_idler"])
-    emissions = merge_batches(pairs, chaotic_s, chaotic_i)
 
     header = StreamHeader(tick_ps=1, channel_count=2,
                           acquisition_seconds=live_time_s)
-    # Species-separated detection with independent seeds, merged sorted.
-    stream_s = detect(emissions.select(SIGNAL), config.signal_detector,
-                      {SIGNAL: SIGNAL_CHANNEL}, seeds["detect_signal"],
-                      gates=gates, header=header)
-    stream_i = detect(emissions.select(IDLER), config.idler_detector,
-                      {IDLER: IDLER_CHANNEL}, seeds["detect_idler"],
-                      gates=gates, header=header)
+    stream_s = detect(_species_times(pairs.signal_ps, chaotic_s),
+                      config.signal_detector, SIGNAL_CHANNEL,
+                      seeds["detect_signal"], gates=gates, header=header)
+    stream_i = detect(_species_times(pairs.idler_ps, chaotic_i),
+                      config.idler_detector, IDLER_CHANNEL,
+                      seeds["detect_idler"], gates=gates, header=header)
     stream = merge_streams(stream_s, stream_i)
 
     manifest = {
@@ -78,7 +88,7 @@ def simulate_experiment(config: ExperimentConfig, config_hash: str = "") -> Simu
         "live_time_s": live_time_s,
         "n_gates": len(gates),
         "n_tags": len(stream),
-        "n_pairs_emitted": int((pairs.pair_ids > 0).sum() // 2),
+        "n_pairs_emitted": len(pairs.signal_ps),
         "channels": {"signal": SIGNAL_CHANNEL, "idler": IDLER_CHANNEL},
     }
     return SimulationResult(stream=stream, live_time_s=live_time_s,

@@ -7,6 +7,12 @@ spectrum), drawn event by event with no time grid, which yields the
 thermal-light relation g2(dt) = 1 + exp(-2|dt|/tau) exactly, without
 modelling atom-number fluctuations.
 
+Every stage from emission to the tag stream works on one species' sorted
+int64 ps time array: ``generate_pairs`` returns the signal and the idler
+times as two such arrays, ``generate_chaotic_gated`` one channel's, and
+``detect`` turns one of them into one detector channel's sorted
+``TagStream``.
+
 Gates are the sorted, disjoint ``(n, 2)`` int64 array of half-open
 ``[start, end)`` ps windows that ``tagio.check_gates`` accepts; a list of
 ``(start, end)`` pairs works too.
@@ -24,11 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tagio import StreamHeader, TagStream, check_gates
-
-SIGNAL = 0
-IDLER = 1
-SPECIES_NAMES = {"signal": SIGNAL, "idler": IDLER}
+from .tagio import StreamHeader, TagStream, check_gates, check_order
 
 PS_PER_S = 1_000_000_000_000
 PS_PER_NS = 1000
@@ -79,32 +81,19 @@ class DetectorConfig:
 
 
 @dataclass
-class EmissionBatch:
-    """Column-wise emission events, sorted by time."""
+class PairEmission:
+    """Emission times of the pairs, int64 ps: the signals and the idlers,
+    each sorted. ``len`` counts both species."""
 
-    times_ps: np.ndarray  # int64
-    species: np.ndarray  # uint8
-    pair_ids: np.ndarray  # int64, 0 for unpaired
+    signal_ps: np.ndarray
+    idler_ps: np.ndarray
 
     def __len__(self):
-        return len(self.times_ps)
-
-    def select(self, species: int) -> "EmissionBatch":
-        m = self.species == species
-        return EmissionBatch(self.times_ps[m], self.species[m], self.pair_ids[m])
-
-    @staticmethod
-    def empty() -> "EmissionBatch":
-        return EmissionBatch(np.zeros(0, np.int64), np.zeros(0, np.uint8),
-                             np.zeros(0, np.int64))
+        return len(self.signal_ps) + len(self.idler_ps)
 
 
-def merge_batches(*batches: EmissionBatch) -> EmissionBatch:
-    times = np.concatenate([b.times_ps for b in batches])
-    species = np.concatenate([b.species for b in batches])
-    pair_ids = np.concatenate([b.pair_ids for b in batches])
-    order = np.argsort(times, kind="stable")
-    return EmissionBatch(times[order], species[order], pair_ids[order])
+def _no_events() -> np.ndarray:
+    return np.zeros(0, np.int64)
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -113,42 +102,39 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def generate_pairs(src: SourceConfig, gates, seed) -> EmissionBatch:
-    """Signal/idler pair emissions inside the gate windows.
+def _gated_poisson(rate: float, spans: np.ndarray, rng) -> np.ndarray:
+    """Unsorted times of a Poisson process at ``rate`` per s inside the
+    spans: one count per span from one ``poisson`` call, then one batch of
+    uniforms places every event in its span."""
+    widths_ps = (spans[:, 1] - spans[:, 0]).astype(float)
+    counts = rng.poisson(rate * (widths_ps / PS_PER_S))
+    total = int(counts.sum())
+    offsets = rng.random(total) * np.repeat(widths_ps, counts)
+    return np.repeat(spans[:, 0], counts) + offsets.astype(np.int64)
+
+
+def generate_pairs(src: SourceConfig, gates, seed) -> PairEmission:
+    """Signal and idler emission times inside the gate windows.
 
     Signal times are a homogeneous Poisson process at ``pair_rate``
     restricted to the gates; each idler follows its signal by an
-    Exp(tau_c) delay. Paired events share a 1-based pair id.
+    Exp(tau_c) delay. Both arrays come back sorted, so the k-th idler is
+    no earlier than the k-th signal.
     """
     gates = check_gates(gates)
     rng = np.random.default_rng(_seed_sequence(seed))
     if not len(gates) or src.pair_rate == 0:
-        return EmissionBatch.empty()
-
-    widths_ps = (gates[:, 1] - gates[:, 0]).astype(float)
-    counts = rng.poisson(src.pair_rate * (widths_ps / PS_PER_S))
-    total = int(counts.sum())
-    if total == 0:
-        return EmissionBatch.empty()
-    starts = np.repeat(gates[:, 0], counts)
-    widths = np.repeat(widths_ps, counts)
-    signal_ps = starts + (rng.random(total) * widths).astype(np.int64)
-    signal_ps.sort(kind="stable")
-    delays_ps = rng.exponential(src.tau_c * PS_PER_NS, size=total)
+        return PairEmission(_no_events(), _no_events())
+    signal_ps = _gated_poisson(src.pair_rate, gates, rng)
+    signal_ps.sort()
+    delays_ps = rng.exponential(src.tau_c * PS_PER_NS, size=len(signal_ps))
     idler_ps = signal_ps + np.maximum(delays_ps.astype(np.int64), 0)
-
-    pair_ids = np.arange(1, total + 1, dtype=np.int64)
-    batch = EmissionBatch(
-        times_ps=np.concatenate([signal_ps, idler_ps]),
-        species=np.concatenate([np.full(total, SIGNAL, np.uint8),
-                                np.full(total, IDLER, np.uint8)]),
-        pair_ids=np.concatenate([pair_ids, pair_ids]),
-    )
-    return merge_batches(batch)
+    idler_ps.sort(kind="stable")  # nearly sorted already: timsort's best case
+    return PairEmission(signal_ps, idler_ps)
 
 
 def generate_chaotic(src: SourceConfig, channel: str, duration_ns: float, seed,
-                     start_ps: int = 0) -> EmissionBatch:
+                     start_ps: int = 0) -> np.ndarray:
     """Chaotic singles of one channel: ``generate_chaotic_gated`` on the one
     gate ``[start_ps, start_ps + ceil(duration_ns * 1000))``."""
     if duration_ns <= 0:
@@ -234,8 +220,9 @@ def _chaotic_events(q: float, tau: float, widths_ns, rng):
     return gate_of, offsets
 
 
-def generate_chaotic_gated(src: SourceConfig, channel: str, gates, seed) -> EmissionBatch:
-    """Chaotic singles emitted only while a gate is open.
+def generate_chaotic_gated(src: SourceConfig, channel: str, gates, seed) -> np.ndarray:
+    """Sorted int64 ps times of one channel's chaotic singles, emitted only
+    while a gate is open.
 
     The intensity is |E(t)|^2, E a unit-power complex Ornstein-Uhlenbeck
     field with the channel's chaotic tau, so g2(dt) = 1 + exp(-2|dt|/tau)
@@ -247,24 +234,21 @@ def generate_chaotic_gated(src: SourceConfig, channel: str, gates, seed) -> Emis
     """
     gates = check_gates(gates)
     if not len(gates):
-        return EmissionBatch.empty()
-    species = SPECIES_NAMES.get(channel)
-    if species is None:
+        return _no_events()
+    if channel not in ("signal", "idler"):
         raise ValidationError(f"unknown channel {channel!r}", field="channel")
-    tau = src.chaotic_tau_s if species == SIGNAL else src.chaotic_tau_i
-    rate = src.uncorrelated_rate_s if species == SIGNAL else src.uncorrelated_rate_i
+    signal = channel == "signal"
+    tau = src.chaotic_tau_s if signal else src.chaotic_tau_i
+    rate = src.uncorrelated_rate_s if signal else src.uncorrelated_rate_i
     if rate == 0:
-        return EmissionBatch.empty()
+        return _no_events()
 
     rng = np.random.default_rng(_seed_sequence(seed))
     widths_ps = gates[:, 1] - gates[:, 0]
     gate_of, offsets = _chaotic_events(rate * 1e-9, tau,
                                        (widths_ps / PS_PER_NS).tolist(), rng)
     offsets_ps = (np.array(offsets) * PS_PER_NS).astype(np.int64)
-    times = gates[gate_of, 0] + np.minimum(offsets_ps, widths_ps[gate_of] - 1)
-    return EmissionBatch(times_ps=times,
-                         species=np.full(len(times), species, np.uint8),
-                         pair_ids=np.zeros(len(times), np.int64))
+    return gates[gate_of, 0] + np.minimum(offsets_ps, widths_ps[gate_of] - 1)
 
 
 def _dead_time_filter(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:
@@ -286,65 +270,45 @@ def _dead_time_filter(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:
     return keep
 
 
-def detect(batch: EmissionBatch, det_by_species, channel_map, seed,
+def detect(batch: np.ndarray, det: DetectorConfig, channel: int, seed,
            gates=None, header: StreamHeader | None = None) -> TagStream:
-    """Run emissions through the detector model and emit a tag stream.
+    """Run one species' sorted int64 ps emission times through one detector
+    and return its channel's time-sorted tag stream.
 
-    ``det_by_species`` maps species code -> DetectorConfig (a single
-    DetectorConfig applies to all species); ``channel_map`` maps species
-    code -> output channel number. Events are thinned by quantum
-    efficiency, smeared by Gaussian jitter truncated at +-5 sigma, mixed
-    with dark counts over the gated spans, and pruned by per-channel dead
-    time. The output is time-sorted and clipped to
-    [min gate - 5 sigma, max gate + 5 sigma].
+    Events are thinned by quantum efficiency, smeared by Gaussian jitter
+    truncated at +-5 sigma, mixed with dark counts over the gated spans
+    (over the events' own span when there are no gates), clipped to
+    [first gate - 5 sigma, last gate end + 5 sigma] and pruned by dead
+    time. The efficiency draws come first, then the jitter, each over the
+    sorted input, then the dark counts: one Poisson count per span, then
+    one uniform per count.
     """
-    if len(batch) and np.any(np.diff(batch.times_ps) < 0):
-        raise ValidationError("events must be sorted by time", field="events")
-    if isinstance(det_by_species, DetectorConfig):
-        det_by_species = {s: det_by_species for s in channel_map}
+    check_order(batch)
     rng = np.random.default_rng(_seed_sequence(seed))
-
     gates = check_gates(gates)
     spans = gates
     if not len(gates) and len(batch):
-        spans = np.array([[batch.times_ps.min(), batch.times_ps.max()]])
+        spans = np.array([[batch[0], batch[-1]]])
     span_lo, span_hi = (int(spans[0, 0]), int(spans[-1, 1])) if len(spans) else (0, 0)
 
-    out_channels = []
-    out_times = []
-    for species, channel in channel_map.items():
-        det = det_by_species[species]
-        sigma_ps = det.jitter_sigma * PS_PER_NS
-        sub = batch.select(species)
-        times = sub.times_ps
-        if det.quantum_efficiency < 1.0 and len(times):
-            times = times[rng.random(len(times)) < det.quantum_efficiency]
-        if sigma_ps > 0 and len(times):
-            jitter = rng.standard_normal(len(times)) * sigma_ps
-            np.clip(jitter, -5.0 * sigma_ps, 5.0 * sigma_ps, out=jitter)
-            times = times + jitter.astype(np.int64)
-        if det.dark_rate > 0 and len(spans):
-            dark_parts = []
-            for lo, hi in spans.tolist():
-                n = rng.poisson(det.dark_rate * (hi - lo) / PS_PER_S)
-                if n:
-                    dark_parts.append(lo + (rng.random(n) * (hi - lo)).astype(np.int64))
-            if dark_parts:
-                times = np.concatenate([times] + dark_parts)
-        times = np.sort(times, kind="stable")
-        lo_clip = span_lo - int(5 * sigma_ps)
-        hi_clip = span_hi + int(5 * sigma_ps)
-        times = times[(times >= lo_clip) & (times <= hi_clip)]
-        if det.dead_time > 0 and len(times):
-            times = times[_dead_time_filter(times, int(det.dead_time * PS_PER_NS))]
-        out_channels.append(np.full(len(times), channel, np.uint8))
-        out_times.append(times)
-
-    channels = np.concatenate(out_channels) if out_channels else np.zeros(0, np.uint8)
-    times = np.concatenate(out_times) if out_times else np.zeros(0, np.int64)
-    order = np.argsort(times, kind="stable")
-    return TagStream(channels=channels[order], timestamps=times[order],
-                     header=header or StreamHeader(), gates=gates)
+    sigma_ps = det.jitter_sigma * PS_PER_NS
+    times = batch
+    if det.quantum_efficiency < 1.0 and len(times):
+        times = times[rng.random(len(times)) < det.quantum_efficiency]
+    if sigma_ps > 0 and len(times):
+        jitter = rng.standard_normal(len(times)) * sigma_ps
+        np.clip(jitter, -5.0 * sigma_ps, 5.0 * sigma_ps, out=jitter)
+        times = times + jitter.astype(np.int64)
+    if det.dark_rate > 0 and len(spans):
+        times = np.concatenate([times, _gated_poisson(det.dark_rate, spans, rng)])
+    times = np.sort(times, kind="stable")
+    clip = int(5 * sigma_ps)
+    times = times[np.searchsorted(times, span_lo - clip):
+                  np.searchsorted(times, span_hi + clip, side="right")]
+    if det.dead_time > 0 and len(times):
+        times = times[_dead_time_filter(times, int(det.dead_time * PS_PER_NS))]
+    return TagStream(channels=np.full(len(times), channel, np.uint8),
+                     timestamps=times, header=header or StreamHeader(), gates=gates)
 
 
 def split_hbt(stream: TagStream, source_channel: int, out_channels, seed) -> TagStream:

@@ -165,12 +165,15 @@ def _encode_gate_table(gates: np.ndarray) -> bytes:
 
 
 def write_stream(stream_or_records, header=None, sink=None, gates=None) -> int:
-    """Serialize a stream; returns the number of bytes written.
+    """Serialize a stream through ``StreamWriter``; returns the number of
+    bytes written.
 
     Accepts either a ``TagStream`` (header/gates taken from it unless
     overridden) or an iterable of ``TimeTagRecord`` plus an explicit
     header. ``sink`` is a path or a binary file object.
     """
+    if sink is None:
+        raise ValidationError("sink is required", field="sink")
     if isinstance(stream_or_records, TagStream):
         st = stream_or_records
         header = header or st.header
@@ -178,20 +181,11 @@ def write_stream(stream_or_records, header=None, sink=None, gates=None) -> int:
         channels, timestamps = st.channels, st.timestamps
     else:
         records = list(stream_or_records)
-        header = header or StreamHeader()
         channels = np.array([r.channel for r in records], dtype=np.uint8)
         timestamps = np.array([r.timestamp for r in records], dtype=np.int64)
-    table = _encode_gate_table(check_gates(gates))
-    payload = _encode_records(channels, timestamps)
-    blob = _pack_header(header, HEADER_SIZE if table else 0) + table + payload
-    if sink is None:
-        raise ValidationError("sink is required", field="sink")
-    if hasattr(sink, "write"):
-        sink.write(blob)
-    else:
-        with open(sink, "wb") as fh:
-            fh.write(blob)
-    return len(blob)
+    with StreamWriter(sink, header, gates) as writer:
+        writer.write(channels, timestamps)
+    return writer.bytes_written
 
 
 class StreamWriter:
@@ -209,8 +203,8 @@ class StreamWriter:
 
     def write(self, channels, timestamps):
         timestamps = np.ascontiguousarray(timestamps, dtype=np.int64)
-        if len(timestamps):
-            payload = _encode_records(channels, timestamps, self._last_ts)
+        payload = _encode_records(channels, timestamps, self._last_ts)
+        if payload:
             self._fh.write(payload)
             self.bytes_written += len(payload)
             self._last_ts = int(timestamps[-1])

@@ -154,9 +154,9 @@ def test_criterion_04_cauchy_schwarz():
     tau, rate, duration_ns = 50.0, 2e7, 5e7
     src = SourceConfig(uncorrelated_rate_s=rate, chaotic_tau_s=tau,
                        chaotic_grid_dt_ns=0.5)
-    batch = generate_chaotic(src, "signal", duration_ns, seed=13)
-    stream = TagStream(channels=np.zeros(len(batch), np.uint8),
-                       timestamps=batch.times_ps,
+    times = generate_chaotic(src, "signal", duration_ns, seed=13)
+    stream = TagStream(channels=np.zeros(len(times), np.uint8),
+                       timestamps=times,
                        header=StreamHeader(acquisition_seconds=duration_ns * 1e-9))
     cfg = HistogramConfig(bin_width=0.5, dt_min=-100, dt_max=100,
                           channel_a=0, channel_b=0)

@@ -8,11 +8,10 @@ from biphoton import simulate
 from biphoton.config import ExperimentConfig, config_from_dict
 from biphoton.correlate import HistogramConfig, cross_correlate
 from biphoton.errors import ValidationError
-from biphoton.pipeline import simulate_experiment
-from biphoton.simulate import (IDLER, SIGNAL, DetectorConfig, EmissionBatch,
-                               SourceConfig, detect, generate_chaotic,
-                               generate_chaotic_gated, generate_pairs,
-                               split_hbt)
+from biphoton.pipeline import simulate_experiment, write_manifest
+from biphoton.simulate import (DetectorConfig, SourceConfig, detect,
+                               generate_chaotic, generate_chaotic_gated,
+                               generate_pairs, split_hbt)
 from biphoton.tagio import StreamHeader, TagStream, write_stream
 
 from oracles import chaotic_on_grid, dead_time_mask
@@ -20,7 +19,6 @@ from oracles import chaotic_on_grid, dead_time_mask
 PS = 1000  # ps per ns
 
 IDENTITY = DetectorConfig()
-CHANNEL_MAP = {SIGNAL: 0, IDLER: 1}
 
 
 def one_gate(width_us):
@@ -52,31 +50,32 @@ class TestPairGeneration:
     def test_pair_count_is_poisson(self):
         gates = [(i * 1_000_000_000, i * 1_000_000_000 + 200_000_000)
                  for i in range(1000)]
-        batch = generate_pairs(SourceConfig(pair_rate=1e5), gates, seed=3)
-        n_pairs = int((batch.species == SIGNAL).sum())
+        pairs = generate_pairs(SourceConfig(pair_rate=1e5), gates, seed=3)
+        n_pairs = len(pairs.signal_ps)
         expected = 1e5 * 200e-6 * 1000  # 20_000
         assert abs(n_pairs - expected) < 4 * np.sqrt(expected)
-        assert (batch.species == IDLER).sum() == n_pairs
+        assert len(pairs.idler_ps) == n_pairs
+        assert len(pairs) == 2 * n_pairs
 
     def test_idler_delay_is_exponential_with_tau_c_mean(self):
         src = SourceConfig(pair_rate=2e5, tau_c=4.4)
-        batch = generate_pairs(src, one_gate(50_000), seed=5)
-        signal = batch.select(SIGNAL)
-        idler = batch.select(IDLER)
-        order_s = np.argsort(signal.pair_ids)
-        order_i = np.argsort(idler.pair_ids)
-        delays_ns = (idler.times_ps[order_i] - signal.times_ps[order_s]) / PS
+        pairs = generate_pairs(src, one_gate(50_000), seed=5)
+        # Sorting changes neither sum, so the mean delay survives it.
+        delays_ns = (pairs.idler_ps - pairs.signal_ps) / PS
         n = len(delays_ns)
         assert np.all(delays_ns >= 0)
         # Exp(tau) sample mean: sigma = tau / sqrt(N).
         assert abs(delays_ns.mean() - 4.4) < 4 * 4.4 / np.sqrt(n)
 
-    def test_events_are_time_sorted_with_matching_pair_ids(self):
-        batch = generate_pairs(SourceConfig(pair_rate=1e5), one_gate(5000), 7)
-        assert np.all(np.diff(batch.times_ps) >= 0)
-        ids, counts = np.unique(batch.pair_ids, return_counts=True)
-        assert np.all(counts == 2)
-        assert ids.min() >= 1
+    def test_events_are_time_sorted_with_idlers_after_signals(self):
+        pairs = generate_pairs(SourceConfig(pair_rate=1e5), one_gate(5000), 7)
+        assert len(pairs.signal_ps) > 0
+        assert np.all(np.diff(pairs.signal_ps) >= 0)
+        assert np.all(np.diff(pairs.idler_ps) >= 0)
+        # Each idler follows its signal, so the k-th idler follows the
+        # k-th signal.
+        assert len(pairs.idler_ps) == len(pairs.signal_ps)
+        assert np.all(pairs.idler_ps >= pairs.signal_ps)
 
     def test_unsorted_gates_rejected(self):
         gates = [(100, 200), (50, 90)]
@@ -96,12 +95,12 @@ class TestChaoticGeneration:
     def test_mean_rate_recovered(self):
         src = SourceConfig(uncorrelated_rate_s=1e6, chaotic_tau_s=10.0)
         duration_ns = 2e7  # 20 ms
-        batch = generate_chaotic(src, "signal", duration_ns, seed=11)
+        times = generate_chaotic(src, "signal", duration_ns, seed=11)
         expected = 1e6 * duration_ns * 1e-9
         # Bunching inflates the count variance by 1 + 2 R tau over Poisson.
         sigma = np.sqrt(expected * (1 + 2 * 1e6 * 10e-9))
-        assert abs(len(batch) - expected) < 5 * sigma
-        assert np.all(np.diff(batch.times_ps) >= 0)
+        assert abs(len(times) - expected) < 5 * sigma
+        assert np.all(np.diff(times) >= 0)
 
     def test_siegert_relation_at_zero_tail_and_half_width(self):
         tau = 50.0
@@ -109,11 +108,11 @@ class TestChaoticGeneration:
         duration_ns = 3e7  # 30 ms
         src = SourceConfig(uncorrelated_rate_s=rate, chaotic_tau_s=tau,
                            chaotic_grid_dt_ns=0.5)
-        batch = generate_chaotic(src, "signal", duration_ns, seed=13)
+        times = generate_chaotic(src, "signal", duration_ns, seed=13)
         cfg = HistogramConfig(bin_width=0.5, dt_min=-200, dt_max=200,
                               channel_a=0, channel_b=0)
-        stream = TagStream(channels=np.zeros(len(batch), np.uint8),
-                           timestamps=batch.times_ps,
+        stream = TagStream(channels=np.zeros(len(times), np.uint8),
+                           timestamps=times,
                            header=StreamHeader(acquisition_seconds=duration_ns * 1e-9))
         hist = cross_correlate(stream, cfg)
         centers = hist.bin_centers_ns()
@@ -131,13 +130,13 @@ class TestChaoticGeneration:
     def test_gated_variant_stays_inside_gates(self):
         src = SourceConfig(uncorrelated_rate_s=1e6, chaotic_tau_s=10.0)
         gates = [(0, 1_000_000), (5_000_000, 6_500_000)]
-        batch = generate_chaotic_gated(src, "signal", gates, seed=2)
-        inside = np.zeros(len(batch), dtype=bool)
+        times = generate_chaotic_gated(src, "signal", gates, seed=2)
+        inside = np.zeros(len(times), dtype=bool)
         for g in gates:
-            inside |= (batch.times_ps >= g[0]) & (batch.times_ps < g[1])
-        assert len(batch) > 0
+            inside |= (times >= g[0]) & (times < g[1])
+        assert len(times) > 0
         assert inside.all()
-        assert np.all(np.diff(batch.times_ps) >= 0)
+        assert np.all(np.diff(times) >= 0)
 
     def test_zero_rate_channel_does_no_per_gate_work(self, monkeypatch):
         def no_draws(*args):
@@ -161,7 +160,7 @@ class TestChaoticGeneration:
     ])
     def test_matches_grid_oracle(self, rate, tau, duration_ns, bin_ns):
         src = SourceConfig(uncorrelated_rate_s=rate, chaotic_tau_s=tau)
-        events = generate_chaotic(src, "signal", duration_ns, seed=21).times_ps
+        events = generate_chaotic(src, "signal", duration_ns, seed=21)
         grid = chaotic_on_grid(rate, tau, duration_ns, tau / 20, seed=21)
         # Mean rate: the counts differ by less than 5 sigma, with the
         # bunching excess 2 r tau on each variance.
@@ -188,8 +187,8 @@ class TestChaoticGeneration:
         period_ps = 2 * int(width_ns) * PS
         gates = [(i * period_ps, i * period_ps + int(width_ns) * PS)
                  for i in range(n_gates)]
-        batch = generate_chaotic_gated(src, "signal", gates, seed=17)
-        counts = np.bincount(batch.times_ps // period_ps, minlength=n_gates)
+        times = generate_chaotic_gated(src, "signal", gates, seed=17)
+        counts = np.bincount(times // period_ps, minlength=n_gates)
         r_tau = rate * 1e-9 * tau
         theory = 1 + r_tau * (1 - tau / (2 * width_ns)
                               * (1 - np.exp(-2 * width_ns / tau)))
@@ -218,38 +217,35 @@ class TestChaoticGeneration:
     def test_gated_draws_match_golden_digest(self, channel):
         # Pins the seed contract: one generator per channel call, the gates
         # drawn in order, and the order of the draws within a gate.
-        batch = generate_chaotic_gated(self.GOLDEN_SRC, channel, self.GOLDEN_GATES,
+        times = generate_chaotic_gated(self.GOLDEN_SRC, channel, self.GOLDEN_GATES,
                                        seed=2024)
-        digest = hashlib.sha256(batch.times_ps.astype("<i8").tobytes()).hexdigest()
-        assert (len(batch), digest) == self.GOLDEN[channel]
+        digest = hashlib.sha256(times.astype("<i8").tobytes()).hexdigest()
+        assert (len(times), digest) == self.GOLDEN[channel]
 
     def test_reproducible_for_same_seed(self):
         src = SourceConfig(uncorrelated_rate_s=1e6, chaotic_tau_s=10.0)
         a = generate_chaotic(src, "signal", 1e6, seed=4)
         b = generate_chaotic(src, "signal", 1e6, seed=4)
         c = generate_chaotic(src, "signal", 1e6, seed=5)
-        assert np.array_equal(a.times_ps, b.times_ps)
-        assert not np.array_equal(a.times_ps, c.times_ps)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
 
 class TestDetector:
-    def batch(self, times_ns, species=SIGNAL):
-        times = (np.asarray(times_ns, dtype=float) * PS).astype(np.int64)
-        return EmissionBatch(times_ps=times,
-                             species=np.full(len(times), species, np.uint8),
-                             pair_ids=np.zeros(len(times), np.int64))
+    def batch(self, times_ns):
+        return (np.asarray(times_ns, dtype=float) * PS).astype(np.int64)
 
     def test_identity_detector_passes_everything_through(self):
         batch = self.batch([10, 20, 35, 90])
-        stream = detect(batch, IDENTITY, CHANNEL_MAP, seed=1)
-        assert np.array_equal(stream.timestamps, batch.times_ps)
+        stream = detect(batch, IDENTITY, 0, seed=1)
+        assert np.array_equal(stream.timestamps, batch)
         assert np.all(stream.channels == 0)
 
     def test_quantum_efficiency_thins_binomially(self):
         n = 40_000
         batch = self.batch(np.arange(n) * 100.0)
         det = DetectorConfig(quantum_efficiency=0.5)
-        stream = detect(batch, det, CHANNEL_MAP, seed=3)
+        stream = detect(batch, det, 0, seed=3)
         sigma = np.sqrt(n * 0.25)
         assert abs(len(stream) - n / 2) < 4 * sigma
 
@@ -260,10 +256,10 @@ class TestDetector:
         src = SourceConfig(pair_rate=1e6, tau_c=1e-3)
         pairs = generate_pairs(src, one_gate(10_000), seed=9)
         det = DetectorConfig(jitter_sigma=sigma_det)
-        stream = detect(pairs, det, CHANNEL_MAP, seed=10,
-                        gates=one_gate(10_000))
-        t_s = stream.timestamps[stream.channels == 0]
-        t_i = stream.timestamps[stream.channels == 1]
+        t_s = detect(pairs.signal_ps, det, 0, seed=10,
+                     gates=one_gate(10_000)).timestamps
+        t_i = detect(pairs.idler_ps, det, 1, seed=11,
+                     gates=one_gate(10_000)).timestamps
         assert len(t_s) == len(t_i)
         delays_ns = (t_i - t_s) / PS  # spacing ~1 us >> jitter keeps order
         n = len(delays_ns)
@@ -273,17 +269,37 @@ class TestDetector:
     def test_dark_counts_fill_gated_span(self):
         det = DetectorConfig(dark_rate=1e6)
         gates = one_gate(10_000)  # 10 ms
-        stream = detect(EmissionBatch.empty(), det, {SIGNAL: 0}, seed=5,
-                        gates=gates)
+        stream = detect(np.zeros(0, np.int64), det, 0, seed=5, gates=gates)
         expected = 1e6 * 10e-3
         assert abs(len(stream) - expected) < 4 * np.sqrt(expected)
         assert stream.timestamps.min() >= 0
         assert stream.timestamps.max() <= gates[0][1]
 
+    def test_dark_counts_are_poisson_in_every_gate(self):
+        rate, width_ps, period_ps, n_gates = 2e6, 50_000_000, 200_000_000, 2000
+        gates = np.array([(i * period_ps, i * period_ps + width_ps)
+                          for i in range(n_gates)])
+        stream = detect(np.zeros(0, np.int64), DetectorConfig(dark_rate=rate), 0,
+                        seed=12, gates=gates)
+        t = stream.timestamps
+        gate = np.searchsorted(gates[:, 0], t, side="right") - 1
+        assert np.all(gate >= 0)
+        assert np.all(t < gates[gate, 1])
+        mean = rate * width_ps * 1e-12  # 100 per gate
+        assert abs(len(t) - n_gates * mean) < 4 * np.sqrt(n_gates * mean)
+        # Per gate, a Poisson count's variance equals its mean; the sample
+        # variance has variance 2 mean^2 / (n - 1) + mean / n.
+        per_gate = np.bincount(gate, minlength=n_gates)
+        sigma = np.sqrt(2 * mean ** 2 / (n_gates - 1) + mean / n_gates)
+        assert abs(per_gate.var(ddof=1) - mean) < 4 * sigma
+        # Uniform within its gate: mean offset half the width.
+        offset = (t - gates[gate, 0]) / width_ps
+        assert abs(offset.mean() - 0.5) < 4 * np.sqrt(1 / 12 / len(t))
+
     def test_dead_time_drops_close_followers(self):
         batch = self.batch([0.0, 0.5, 5.0, 5.8, 9.0])
         det = DetectorConfig(dead_time=1.0)
-        stream = detect(batch, det, CHANNEL_MAP, seed=1)
+        stream = detect(batch, det, 0, seed=1)
         assert stream.timestamps.tolist() == [0, 5000, 9000]
 
     def test_dead_time_mask_matches_per_tag_walk(self):
@@ -297,11 +313,8 @@ class TestDetector:
                                   dead_time_mask(times, dead_ps))
 
     def test_unsorted_batch_rejected(self):
-        batch = EmissionBatch(
-            times_ps=np.array([100, 50], np.int64),
-            species=np.zeros(2, np.uint8), pair_ids=np.zeros(2, np.int64))
         with pytest.raises(ValidationError):
-            detect(batch, IDENTITY, CHANNEL_MAP, seed=1)
+            detect(np.array([100, 50], np.int64), IDENTITY, 0, seed=1)
 
 
 class TestSplitHbt:
@@ -378,7 +391,76 @@ class TestPipeline:
             n = int((stream.channels == ch).sum())
             assert abs(n - expected) < 6 * np.sqrt(expected)
 
+    def test_signal_tag_comes_first_at_equal_times(self):
+        # Ideal detectors and a 1 ps coherence time: most idlers land on
+        # their signal's picosecond.
+        result = self.run({"source": {"pair_rate": 5e4, "tau_c": 1e-3},
+                           "signal_detector": {}, "idler_detector": {}})
+        ts, ch = result.stream.timestamps, result.stream.channels
+        tie = np.flatnonzero(ts[1:] == ts[:-1])
+        assert len(tie) > 100
+        assert np.all(ch[tie] <= ch[tie + 1])
+
     def test_default_config_runs_empty(self):
         result = simulate_experiment(ExperimentConfig())
         assert len(result.stream) == 0
         assert result.n_gates == 1
+
+
+class TestPipelineGolden:
+    """Stream and manifest bytes of three pipeline configs, pinned: the
+    per-stage seeds and the draw order within each stage."""
+
+    DETECTORS = {
+        "signal_detector": {"quantum_efficiency": 0.62,
+                            "jitter_sigma": 0.61 / 2 ** 0.5},
+        "idler_detector": {"quantum_efficiency": 0.6034,
+                           "jitter_sigma": 0.61 / 2 ** 0.5},
+    }
+    REFERENCE = {  # the acceptance REFERENCE_CONDITIONS at 2000 cycles
+        "seed": 1,
+        "source": {"pair_rate": 26283.0, "tau_c": 4.4},
+        **DETECTORS,
+        "duty_cycle": {"load_duration_us": 500, "fwm_duration_us": 200,
+                       "cycles": 2000},
+    }
+    CHAOTIC = {  # the acceptance CHAOTIC_PIPELINE at 2 cycles
+        "seed": 7,
+        "source": {"pair_rate": 4e5, "tau_c": 4.4,
+                   "uncorrelated_rate_s": 2e5, "uncorrelated_rate_i": 2e5,
+                   "chaotic_tau_s": 18.9, "chaotic_tau_i": 12.8,
+                   "chaotic_grid_dt_ns": 1.2},
+        "signal_detector": {"quantum_efficiency": 0.62,
+                            "jitter_sigma": 0.61 / 2 ** 0.5},
+        "idler_detector": {"quantum_efficiency": 0.60,
+                           "jitter_sigma": 0.61 / 2 ** 0.5},
+        "duty_cycle": {"load_duration_us": 500, "fwm_duration_us": 2000,
+                       "cycles": 2},
+    }
+    DEAD_TIME = {
+        **REFERENCE,
+        "signal_detector": {**DETECTORS["signal_detector"], "dead_time": 50.0},
+        "idler_detector": {**DETECTORS["idler_detector"], "dead_time": 50.0},
+    }
+
+    @pytest.mark.parametrize("config, n_tags, stream_sha, manifest_sha", [
+        (REFERENCE, 12_624,
+         "0af5ab04f4e4f860e79591a227052c6a7a04ff68a923f25199f797bdad59e704",
+         "5a132c87e9b5c889cc2c02b6366e3307191f74b58849cfd42e965695704ee39e"),
+        (CHAOTIC, 2_900,
+         "88dbeca5b6465377310d8304a915401bfdbd36d18d01108f98f76395aa7e3bae",
+         "85036da71cdc45c216133f889a11e0186f08b52da2f56b90d0c329474bd2edfa"),
+        (DEAD_TIME, 12_612,
+         "219f7775fd7b8c7ff8cddb812d017723d18fe5281a1106d777f0c8f72ac81d01",
+         "5f93b632738e0541482f28308408d1e9b6f0bb01f09d294cdef7c833b61488be"),
+    ], ids=["reference", "chaotic", "dead_time"])
+    def test_matches_golden_digest(self, tmp_path, config, n_tags, stream_sha,
+                                   manifest_sha):
+        result = simulate_experiment(config_from_dict(config), config_hash="golden")
+        buf = io.BytesIO()
+        write_stream(result.stream, sink=buf)
+        write_manifest(result.manifest, tmp_path / "manifest.json")
+        manifest = (tmp_path / "manifest.json").read_bytes()
+        assert len(result.stream) == n_tags
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == stream_sha
+        assert hashlib.sha256(manifest).hexdigest() == manifest_sha
