@@ -334,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=None,
                    help="per-point transmission noise sigma")
     p.add_argument("--free-gamma", dest="free_gamma", action="store_true")
-    p.add_argument("--sigma0", type=float, default=2.907e-9)
-    p.add_argument("--area", type=float, default=0.008)
+    p.add_argument("--sigma0", type=float, default=ODContext.sigma0_cm2)
+    p.add_argument("--area", type=float, default=ODContext.area_cm2)
     p.set_defaults(func=cmd_od_fit)
 
     p = sub.add_parser("metrics", help="bandwidth and spectral brightness")

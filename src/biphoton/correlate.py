@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tagio import StreamReader, TagStream, check_order
-
-NS_TO_PS = 1000
+from .tagio import PS_PER_NS, StreamReader, TagStream, check_order
 
 
 @dataclass(frozen=True)
@@ -49,15 +47,15 @@ class HistogramConfig:
 
     @property
     def bin_width_ps(self) -> int:
-        return int(round(self.bin_width * NS_TO_PS))
+        return int(round(self.bin_width * PS_PER_NS))
 
     @property
     def dt_min_ps(self) -> int:
-        return int(round(self.dt_min * NS_TO_PS))
+        return int(round(self.dt_min * PS_PER_NS))
 
     @property
     def dt_max_ps(self) -> int:
-        return int(round(self.dt_max * NS_TO_PS))
+        return int(round(self.dt_max * PS_PER_NS))
 
     @property
     def n_bins(self) -> int:
@@ -69,7 +67,7 @@ class HistogramConfig:
         return self.dt_min_ps + self.n_bins * self.bin_width_ps
 
     def bin_edges_ns(self) -> np.ndarray:
-        return (self.dt_min_ps + np.arange(self.n_bins + 1) * self.bin_width_ps) / NS_TO_PS
+        return (self.dt_min_ps + np.arange(self.n_bins + 1) * self.bin_width_ps) / PS_PER_NS
 
     def bin_centers_ns(self) -> np.ndarray:
         edges = self.bin_edges_ns()
@@ -141,7 +139,7 @@ class AccidentalEstimate:
     """Expected flat coincidence floor per bin."""
 
     g_acc: float
-    source: str = "computed"  # computed | fitted
+    source: str = "computed"
 
     def __post_init__(self):
         if self.g_acc < 0:
@@ -295,16 +293,6 @@ def accidental_from_histogram(hist: CorrelationHistogram) -> AccidentalEstimate:
     """Accidental floor from the histogram's own measured singles rates."""
     return accidental_rate(hist.rate_a, hist.rate_b,
                            hist.config.bin_width_ps * 1e-12, hist.duration_s)
-
-
-def accidental_from_wings(hist: CorrelationHistogram, wing_min_ns: float,
-                          wing_max_ns: float) -> AccidentalEstimate:
-    """Empirical per-bin floor: mean count over a flat far-wing delay range."""
-    centers = hist.bin_centers_ns()
-    sel = (centers >= wing_min_ns) & (centers <= wing_max_ns)
-    if not np.any(sel):
-        raise ValidationError("wing range contains no bins", field="wing_min_ns")
-    return AccidentalEstimate(float(hist.counts[sel].mean()), source="fitted")
 
 
 def normalize(hist: CorrelationHistogram, acc: AccidentalEstimate) -> G2Histogram:

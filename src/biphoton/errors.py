@@ -34,10 +34,6 @@ class CorruptionError(BiphotonError):
         super().__init__(f"{message} (byte offset {offset})")
 
 
-class StepSizeError(ValidationError):
-    """Integrator step too coarse for the fastest rate in the system."""
-
-
 class BudgetError(ValidationError):
     """Compiled sequence exceeds the hardware word budget."""
 

@@ -30,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tagio import StreamHeader, TagStream, check_gates, check_order
+from .tagio import PS_PER_NS, StreamHeader, TagStream, check_gates, check_order
 
 PS_PER_S = 1_000_000_000_000
-PS_PER_NS = 1000
 NEWTON_TOL_NS = 1e-4
 
 

@@ -1,5 +1,5 @@
-"""Binary time-tag stream format, batch/streaming readers, and software
-gate filtering.
+"""Binary time-tag stream format and its batch/streaming writers and
+readers.
 
 Byte layout (all little-endian):
 
@@ -33,7 +33,7 @@ builds and validates it, and the gate table on disk is its bytes as uint64.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,15 +44,10 @@ VERSION = 1
 HEADER_SIZE = 48
 RECORD_SIZE = 8
 MAX_TIMESTAMP = (1 << 56) - 1
+PS_PER_NS = 1000  # timestamps are in ps
 
 _HEADER_STRUCT = struct.Struct("<8sHHIHHdQQI")
 GATE_READ_WINDOWS = 1 << 15  # gate-table windows per read: 512 KiB
-
-
-@dataclass(frozen=True)
-class TimeTagRecord:
-    channel: int
-    timestamp: int  # ps since stream epoch
 
 
 def check_gates(gates) -> np.ndarray:
@@ -107,25 +102,6 @@ class TagStream:
     def __len__(self):
         return len(self.timestamps)
 
-    @classmethod
-    def from_records(cls, records, header=None, gates=None):
-        records = list(records)
-        channels = np.array([r.channel for r in records], dtype=np.uint8)
-        timestamps = np.array([r.timestamp for r in records], dtype=np.int64)
-        return cls(channels=channels, timestamps=timestamps,
-                   header=header or StreamHeader(), gates=gates)
-
-    def records(self):
-        return [TimeTagRecord(int(c), int(t))
-                for c, t in zip(self.channels, self.timestamps)]
-
-    def export_csv(self, path):
-        """Interoperability export: channel,timestamp_ps rows."""
-        with open(path, "w") as fh:
-            fh.write("channel,timestamp_ps\n")
-            for c, t in zip(self.channels, self.timestamps):
-                fh.write(f"{int(c)},{int(t)}\n")
-
 
 def check_order(timestamps, after=None):
     """Raise ``OrderingError`` unless ``timestamps`` are non-decreasing and
@@ -164,60 +140,64 @@ def _encode_gate_table(gates: np.ndarray) -> bytes:
     return struct.pack("<I", len(gates)) + gates.astype("<u8").tobytes()
 
 
-def write_stream(stream_or_records, header=None, sink=None, gates=None) -> int:
-    """Serialize a stream through ``StreamWriter``; returns the number of
-    bytes written.
-
-    Accepts either a ``TagStream`` (header/gates taken from it unless
-    overridden) or an iterable of ``TimeTagRecord`` plus an explicit
-    header. ``sink`` is a path or a binary file object.
-    """
-    if sink is None:
-        raise ValidationError("sink is required", field="sink")
-    if isinstance(stream_or_records, TagStream):
-        st = stream_or_records
-        header = header or st.header
-        gates = st.gates if gates is None else gates
-        channels, timestamps = st.channels, st.timestamps
-    else:
-        records = list(stream_or_records)
-        channels = np.array([r.channel for r in records], dtype=np.uint8)
-        timestamps = np.array([r.timestamp for r in records], dtype=np.int64)
-    with StreamWriter(sink, header, gates) as writer:
-        writer.write(channels, timestamps)
+def write_stream(stream: TagStream, sink) -> int:
+    """Serialize a ``TagStream`` with its header and gates through
+    ``StreamWriter``; returns the number of bytes written. ``sink`` is a
+    path or a binary file object."""
+    with StreamWriter(sink, stream.header, stream.gates) as writer:
+        writer.write(stream.channels, stream.timestamps)
     return writer.bytes_written
 
 
 class StreamWriter:
-    """Incremental writer: header and gates up front, records appended."""
+    """Incremental writer: header and gates first, records appended.
+
+    Nothing reaches the sink until the first records have been encoded, or
+    until ``close`` for a stream with none, so input rejected before then
+    creates no file and leaves an existing one untouched.
+    """
 
     def __init__(self, sink, header=None, gates=None):
         self.header = header or StreamHeader()
         self.gates = check_gates(gates)
         table = _encode_gate_table(self.gates)
-        self._own = not hasattr(sink, "write")
-        self._fh = open(sink, "wb") if self._own else sink
-        self._fh.write(_pack_header(self.header, HEADER_SIZE if table else 0) + table)
+        self._head = _pack_header(self.header, HEADER_SIZE if table else 0) + table
+        self._sink = sink
+        self._fh = None
         self._last_ts = None
         self.bytes_written = HEADER_SIZE + len(table)
+
+    def _open(self):
+        if self._fh is None:
+            self._fh = self._sink if hasattr(self._sink, "write") else open(self._sink, "wb")
+            self._fh.write(self._head)
+        return self._fh
 
     def write(self, channels, timestamps):
         timestamps = np.ascontiguousarray(timestamps, dtype=np.int64)
         payload = _encode_records(channels, timestamps, self._last_ts)
         if payload:
-            self._fh.write(payload)
+            self._open().write(payload)
             self.bytes_written += len(payload)
             self._last_ts = int(timestamps[-1])
 
     def close(self):
-        if self._own:
+        """Finish the stream; one with no records still gets its header."""
+        self._open()
+        self._release()
+
+    def _release(self):
+        if self._fh is not None and self._fh is not self._sink:
             self._fh.close()
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, *exc):
+        if exc_type is None:
+            self.close()
+        else:
+            self._release()
 
 
 def _read_exact(fh, n, what, offset):
@@ -308,11 +288,6 @@ class StreamReader:
             yield channels, timestamps
             offset += len(buf)
 
-    def records(self):
-        for channels, timestamps in self.chunks():
-            for c, t in zip(channels, timestamps):
-                yield TimeTagRecord(int(c), int(t))
-
     def close(self):
         if self._own:
             self._fh.close()
@@ -337,31 +312,6 @@ def read_stream(source) -> TagStream:
             timestamps = np.zeros(0, dtype=np.int64)
         return TagStream(channels=channels, timestamps=timestamps,
                          header=reader.header, gates=reader.gates)
-
-
-def gate_filter(stream_or_timestamps, gates):
-    """Keep exactly the tags with start <= t < end for some gate window.
-
-    Single vectorized pass; order preserved. Accepts a ``TagStream`` (a
-    filtered copy is returned) or a timestamp array (a boolean mask is
-    applied and the kept timestamps returned).
-    """
-    gates = check_gates(gates)
-    if isinstance(stream_or_timestamps, TagStream):
-        mask = _gate_mask(stream_or_timestamps.timestamps, gates)
-        return replace(stream_or_timestamps,
-                       channels=stream_or_timestamps.channels[mask],
-                       timestamps=stream_or_timestamps.timestamps[mask])
-    timestamps = np.asarray(stream_or_timestamps, dtype=np.int64)
-    return timestamps[_gate_mask(timestamps, gates)]
-
-
-def _gate_mask(timestamps, gates):
-    idx = np.searchsorted(gates[:, 0], timestamps, side="right") - 1
-    valid = idx >= 0
-    mask = np.zeros(len(timestamps), dtype=bool)
-    mask[valid] = timestamps[valid] < gates[idx[valid], 1]
-    return mask
 
 
 def total_gate_time_ps(gates) -> int:

@@ -11,7 +11,7 @@ import pytest
 
 from oracles import auto_model, convolved_exponential, cross_model, \
     brute_force_histogram
-from biphoton.cascade import PhaseMatchSpec, check_phase_matching
+from biphoton.metrics import PhaseMatchSpec, check_phase_matching
 from biphoton.cli import main
 from biphoton.config import config_from_dict
 from biphoton.correlate import (HistogramConfig, StreamCorrelator,

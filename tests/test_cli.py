@@ -298,6 +298,20 @@ def test_import_leaves_scipy_signal_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_reaches_every_module():
+    # A module that the command never imports is code no command runs.
+    package = os.path.dirname(cli.__file__)
+    modules = sorted(f"biphoton.{name[:-3]}" for name in os.listdir(package)
+                     if name.endswith(".py") and name != "__init__.py")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, biphoton.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert set(modules) - set(proc.stdout.split()) == set()
+
+
 class TestSequenceCommand:
     def test_valid_duty_cycle_reports_layout(self, tmp_path, capsys):
         config = tmp_path / "seq.json"

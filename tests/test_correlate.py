@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from oracles import brute_force_histogram
 
 from biphoton.correlate import (AccidentalEstimate, HistogramConfig,
-                                StreamCorrelator, accidental_from_wings,
-                                accidental_rate, coincidence_rate,
-                                cross_correlate, normalize)
+                                StreamCorrelator, accidental_rate,
+                                coincidence_rate, cross_correlate, normalize)
 from biphoton.errors import OrderingError, ValidationError
 from biphoton.tagio import StreamHeader, TagStream
 
@@ -273,15 +272,6 @@ class TestAccidentals:
         one = accidental_rate(1e4, 1e4, 1.4e-9, 10.0)
         two = accidental_rate(1e4, 1e4, 1.4e-9, 20.0)
         assert two.g_acc == pytest.approx(2 * one.g_acc)
-
-    def test_wing_estimate_recovers_flat_level(self):
-        cfg = HistogramConfig(bin_width=1.0, dt_min=-50, dt_max=350)
-        hist = cross_correlate(
-            random_stream(np.random.default_rng(1), 10), cfg)
-        hist.counts[:] = 7
-        est = accidental_from_wings(hist, 200.0, 350.0)
-        assert est.g_acc == 7.0
-        assert est.source == "fitted"
 
 
 class TestNormalization:

@@ -1,12 +1,54 @@
 import math
 
+import numpy as np
 import pytest
 
 from biphoton.errors import ValidationError
-from biphoton.metrics import (ODContext, atom_number, bandwidth_from_tau,
-                              brightness_report, cauchy_schwarz,
-                              scattering_rate, scattering_rate_low_saturation,
-                              spectral_brightness)
+from biphoton.metrics import (ODContext, PhaseMatchSpec, atom_number,
+                              bandwidth_from_tau, cauchy_schwarz,
+                              check_phase_matching, spectral_brightness)
+
+NOMINAL = dict(lambda_p1_nm=780.0, lambda_p2_nm=776.0,
+               lambda_s_nm=762.0, lambda_i_nm=795.0)
+
+
+class TestPhaseMatching:
+    def test_exact_colinear_identity_passes_with_zero_residuals(self):
+        # Choose output wavelengths so 1/l_s + 1/l_i = 1/l_p1 + 1/l_p2 exactly.
+        lp1, lp2, ls = 780.0, 776.0, 762.0
+        li = 1.0 / (1.0 / lp1 + 1.0 / lp2 - 1.0 / ls)
+        spec = PhaseMatchSpec.colinear(lp1, lp2, ls, li)
+        report = check_phase_matching(spec, rel_tol=1e-9)
+        assert report.passes
+        assert report.momentum_relative < 1e-12
+        assert report.energy_relative < 1e-12
+
+    def test_nominal_wavelengths_pass_loose_fail_tight(self):
+        spec = PhaseMatchSpec.colinear(**NOMINAL)
+        loose = check_phase_matching(spec, rel_tol=1e-3)
+        tight = check_phase_matching(spec, rel_tol=1e-5)
+        assert loose.passes
+        assert not tight.passes
+        # Rounded nominal wavelengths leave a relative residual of a few 1e-4.
+        assert 1e-5 < loose.energy_relative < 1e-3
+
+    def test_reversed_idler_fails_with_double_k_residual(self):
+        spec = PhaseMatchSpec.colinear(**NOMINAL)
+        flipped = PhaseMatchSpec(
+            k_p1=spec.k_p1, k_p2=spec.k_p2, k_s=spec.k_s,
+            k_i=tuple(-k for k in spec.k_i),
+            omega_p1=spec.omega_p1, omega_p2=spec.omega_p2,
+            omega_s=spec.omega_s, omega_i=spec.omega_i)
+        report = check_phase_matching(flipped, rel_tol=1e-3)
+        assert not report.passes
+        k_i_norm = np.linalg.norm(spec.k_i)
+        assert np.linalg.norm(report.momentum_residual) == pytest.approx(
+            2.0 * k_i_norm, rel=1e-3)
+
+    def test_rejects_nonpositive_tolerance(self):
+        spec = PhaseMatchSpec.colinear(**NOMINAL)
+        with pytest.raises(ValidationError):
+            check_phase_matching(spec, rel_tol=0.0)
 
 
 class TestBandwidth:
@@ -39,12 +81,6 @@ class TestBrightness:
         bw_hz = bandwidth_from_tau(4.4)
         assert spectral_brightness(bw_hz, 4.4) == pytest.approx(1.0, rel=1e-12)
 
-    def test_report_is_consistent(self):
-        r = brightness_report(1e4, 4.4)
-        assert r.bandwidth_mhz == pytest.approx(bandwidth_from_tau(4.4))
-        assert r.brightness_per_mhz_s == pytest.approx(
-            r.coincidence_rate_hz / r.bandwidth_mhz)
-
     def test_negative_rate_rejected(self):
         with pytest.raises(ValidationError):
             spectral_brightness(-1.0, 4.4)
@@ -71,27 +107,6 @@ class TestCauchySchwarz:
             cauchy_schwarz(10.0, 0.0, 1.0)
 
 
-class TestScatteringRate:
-    def test_saturated_limit_is_half_linewidth(self):
-        ctx = ODContext(s0=1e9, detuning_mhz=0.0)
-        assert scattering_rate(ctx) == pytest.approx(ctx.gamma_mhz / 2, rel=1e-6)
-
-    def test_resonant_unit_saturation_is_quarter_linewidth(self):
-        ctx = ODContext(s0=1.0, detuning_mhz=0.0)
-        assert scattering_rate(ctx) == pytest.approx(ctx.gamma_mhz / 4, rel=1e-12)
-
-    def test_branches_agree_at_low_saturation(self):
-        for det in (0.0, ODContext().gamma_mhz, 3 * ODContext().gamma_mhz):
-            ctx = ODContext(s0=0.1, detuning_mhz=det)
-            full = scattering_rate(ctx)
-            low = scattering_rate_low_saturation(ctx)
-            assert low == pytest.approx(full, rel=0.11)  # differs by 1/(1+s0)
-
-    def test_low_saturation_branch_exceeds_full_form(self):
-        ctx = ODContext(s0=0.5, detuning_mhz=2.0)
-        assert scattering_rate_low_saturation(ctx) > scattering_rate(ctx)
-
-
 class TestAtomNumber:
     def test_od_20_default_geometry(self):
         n = atom_number(20.0, ODContext())
@@ -112,5 +127,3 @@ class TestAtomNumber:
     def test_invalid_context_rejected(self):
         with pytest.raises(ValidationError):
             ODContext(area_cm2=0.0)
-        with pytest.raises(ValidationError):
-            ODContext(s0=-0.1)

@@ -15,13 +15,24 @@ from biphoton.sequence import (PS_PER_US, DutyCycleSpec, HardwareProfile,
                                compile_duty_cycle, emit_gates)
 from biphoton.tagio import (GATE_READ_WINDOWS, HEADER_SIZE, MAGIC, RECORD_SIZE,
                             StreamHeader, StreamReader, StreamWriter, TagStream,
-                            TimeTagRecord, check_gates, gate_filter, merge_streams,
-                            read_stream, total_gate_time_ps, write_stream)
+                            check_gates, merge_streams, read_stream,
+                            total_gate_time_ps, write_stream)
 
 
-def roundtrip(stream, **kwargs):
+def tag_stream(pairs, **kwargs):
+    """A ``TagStream`` of ``(channel, timestamp)`` pairs."""
+    return TagStream(channels=np.array([c for c, _ in pairs], dtype=np.uint8),
+                     timestamps=np.array([t for _, t in pairs], dtype=np.int64),
+                     **kwargs)
+
+
+def pairs_of(stream):
+    return list(zip(stream.channels.tolist(), stream.timestamps.tolist()))
+
+
+def roundtrip(stream):
     buf = io.BytesIO()
-    write_stream(stream, sink=buf, **kwargs)
+    write_stream(stream, sink=buf)
     buf.seek(0)
     return read_stream(buf)
 
@@ -29,18 +40,16 @@ def roundtrip(stream, **kwargs):
 class TestGolden:
     """Byte layout pinned against an independent struct-level encoding."""
 
-    RECORDS = [TimeTagRecord(0, 1_000), TimeTagRecord(1, 2_500),
-               TimeTagRecord(0, 2_500)]
+    RECORDS = [(0, 1_000), (1, 2_500), (0, 2_500)]
 
     def expected_bytes(self):
         header = struct.pack("<8sHHIHHdQQI", MAGIC, 1, 0, 1, 2, 0, 1.25, 0, 0, 0)
-        payload = b"".join(struct.pack("<Q", (r.timestamp << 8) | r.channel)
-                           for r in self.RECORDS)
+        payload = b"".join(struct.pack("<Q", (t << 8) | c) for c, t in self.RECORDS)
         return header + payload
 
     def test_writer_produces_expected_bytes(self):
-        stream = TagStream.from_records(
-            self.RECORDS, header=StreamHeader(acquisition_seconds=1.25))
+        stream = tag_stream(self.RECORDS,
+                            header=StreamHeader(acquisition_seconds=1.25))
         buf = io.BytesIO()
         n = write_stream(stream, sink=buf)
         assert buf.getvalue() == self.expected_bytes()
@@ -48,14 +57,14 @@ class TestGolden:
 
     def test_reader_parses_expected_bytes(self):
         stream = read_stream(io.BytesIO(self.expected_bytes()))
-        assert stream.records() == self.RECORDS
+        assert pairs_of(stream) == self.RECORDS
         assert stream.header.acquisition_seconds == 1.25
         assert stream.header.tick_ps == 1
 
     def test_gate_table_layout(self):
         gates = [(100, 200), (300, 450)]
         buf = io.BytesIO()
-        write_stream(TagStream.from_records(self.RECORDS, gates=gates), sink=buf)
+        write_stream(tag_stream(self.RECORDS, gates=gates), sink=buf)
         raw = buf.getvalue()
         table_offset = struct.unpack_from("<Q", raw, 28)[0]
         assert table_offset == HEADER_SIZE
@@ -76,23 +85,23 @@ class TestGolden:
             struct.pack("<QQ", (700 * i + 500) * PS_PER_US,
                         (700 * i + 700) * PS_PER_US) for i in range(85_000))
         one = io.BytesIO()
-        write_stream(TagStream.from_records(self.RECORDS, gates=gates), sink=one)
+        write_stream(tag_stream(self.RECORDS, gates=gates), sink=one)
         inc = io.BytesIO()
         with StreamWriter(inc, gates=gates) as writer:
-            writer.write([r.channel for r in self.RECORDS],
-                         [r.timestamp for r in self.RECORDS])
+            writer.write([c for c, _ in self.RECORDS],
+                         [t for _, t in self.RECORDS])
         raw = one.getvalue()
         assert inc.getvalue() == raw
         assert struct.unpack_from("<Q", raw, 28)[0] == HEADER_SIZE
         assert raw[HEADER_SIZE:HEADER_SIZE + len(expected)] == expected
         back = read_stream(io.BytesIO(raw))
         assert np.array_equal(back.gates, gates)
-        assert back.records() == self.RECORDS
+        assert pairs_of(back) == self.RECORDS
 
 
 class TestRoundTrip:
     def test_empty_stream(self):
-        stream = TagStream.from_records([])
+        stream = tag_stream([])
         back = roundtrip(stream)
         assert len(back) == 0
         assert back.header == stream.header
@@ -113,25 +122,23 @@ class TestRoundTrip:
                     max_size=200))
     def test_roundtrip_property(self, pairs):
         pairs.sort(key=lambda p: p[1])
-        records = [TimeTagRecord(c, t) for c, t in pairs]
-        back = roundtrip(TagStream.from_records(records))
-        assert back.records() == records
+        back = roundtrip(tag_stream(pairs))
+        assert pairs_of(back) == pairs
 
     def test_gates_roundtrip(self):
         gates = [(0, 10), (20, 35)]
-        back = roundtrip(TagStream.from_records(self.records(), gates=gates))
+        back = roundtrip(tag_stream(self.records(), gates=gates))
         assert np.array_equal(back.gates, gates)
 
     @staticmethod
     def records():
-        return [TimeTagRecord(0, 5), TimeTagRecord(1, 25)]
+        return [(0, 5), (1, 25)]
 
 
 class TestValidation:
     def test_unsorted_records_rejected(self):
-        records = [TimeTagRecord(0, 10), TimeTagRecord(0, 5)]
         with pytest.raises(OrderingError):
-            write_stream(records, sink=io.BytesIO())
+            write_stream(tag_stream([(0, 10), (0, 5)]), sink=io.BytesIO())
 
     @staticmethod
     def hand_written(timestamps):
@@ -161,7 +168,21 @@ class TestValidation:
 
     def test_timestamp_range_rejected(self):
         with pytest.raises(ValidationError):
-            write_stream([TimeTagRecord(0, 1 << 56)], sink=io.BytesIO())
+            write_stream(tag_stream([(0, 1 << 56)]), sink=io.BytesIO())
+
+    @pytest.mark.parametrize("pairs, error", [
+        ([(0, 10), (0, 5)], OrderingError),
+        ([(0, 1 << 56)], ValidationError),
+    ], ids=["unsorted", "past_56_bits"])
+    def test_rejected_write_leaves_files_alone(self, tmp_path, pairs, error):
+        old = tmp_path / "old.tags"
+        old.write_bytes(bytes(range(100)))
+        new = tmp_path / "new.tags"
+        for path in (old, new):
+            with pytest.raises(error):
+                write_stream(tag_stream(pairs), sink=path)
+        assert old.read_bytes() == bytes(range(100))
+        assert not new.exists()
 
     def test_bad_magic(self):
         with pytest.raises(StreamFormatError):
@@ -196,8 +217,7 @@ class TestValidation:
 
     def test_truncated_record_reports_offset(self):
         buf = io.BytesIO()
-        write_stream([TimeTagRecord(0, 100), TimeTagRecord(1, 200)],
-                     sink=buf)
+        write_stream(tag_stream([(0, 100), (1, 200)]), sink=buf)
         damaged = buf.getvalue()[:-1]  # drop one byte of the last record
         with pytest.raises(CorruptionError) as err:
             read_stream(io.BytesIO(damaged))
@@ -246,8 +266,8 @@ class TestValidation:
         with pytest.raises(StreamFormatError, match="tick"):
             StreamReader(io.BytesIO(raw))
         with pytest.raises(ValidationError):
-            write_stream(TagStream.from_records(
-                [], header=StreamHeader(tick_ps=2)), sink=io.BytesIO())
+            write_stream(tag_stream([], header=StreamHeader(tick_ps=2)),
+                         sink=io.BytesIO())
 
 
 class TestCheckGates:
@@ -272,7 +292,7 @@ class TestCheckGates:
 
     def test_writers_reject_a_negative_bound(self):
         with pytest.raises(ValidationError):
-            write_stream([TimeTagRecord(0, 5)], sink=io.BytesIO(), gates=[(-5, 10)])
+            write_stream(tag_stream([(0, 5)], gates=[(-5, 10)]), sink=io.BytesIO())
         with pytest.raises(ValidationError):
             StreamWriter(io.BytesIO(), gates=[(-5, 10)])
 
@@ -319,43 +339,14 @@ class TestStreaming:
 
 
 class TestGateFilter:
-    def test_empty_gate_list_keeps_nothing(self):
-        ts = np.array([1, 2, 3], dtype=np.int64)
-        assert len(gate_filter(ts, [])) == 0
-
-    def test_full_span_gate_is_identity(self):
-        ts = np.array([5, 10, 20], dtype=np.int64)
-        kept = gate_filter(ts, [(0, 21)])
-        assert np.array_equal(kept, ts)
-
-    def test_half_open_boundaries(self):
-        gates = [(10, 20)]
-        ts = np.array([9, 10, 19, 20], dtype=np.int64)
-        kept = gate_filter(ts, gates)
-        assert kept.tolist() == [10, 19]
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(8)
-        ts = np.sort(rng.integers(0, 1000, 500)).astype(np.int64)
-        gates = [(100, 300), (600, 900)]
-        once = gate_filter(ts, gates)
-        twice = gate_filter(once, gates)
-        assert np.array_equal(once, twice)
-
-    def test_stream_variant_filters_channels_too(self):
-        stream = TagStream.from_records(
-            [TimeTagRecord(0, 5), TimeTagRecord(1, 15), TimeTagRecord(0, 25)])
-        kept = gate_filter(stream, [(10, 20)])
-        assert kept.records() == [TimeTagRecord(1, 15)]
-
     def test_total_gate_time(self):
         gates = [(0, 10), (20, 25)]
         assert total_gate_time_ps(gates) == 15
 
 
 def test_merge_streams_sorted():
-    a = TagStream.from_records([TimeTagRecord(0, 1), TimeTagRecord(0, 5)])
-    b = TagStream.from_records([TimeTagRecord(1, 3)])
+    a = tag_stream([(0, 1), (0, 5)])
+    b = tag_stream([(1, 3)])
     merged = merge_streams(a, b)
     assert merged.timestamps.tolist() == [1, 3, 5]
     assert merged.channels.tolist() == [0, 1, 0]
