@@ -154,7 +154,7 @@ def cmd_fit(args) -> int:
                                         counts=counts.astype(np.int64),
                                         duration_s=meta["duration_s"],
                                         n_a=meta.get("n_a", 0), n_b=meta.get("n_b", 0))
-            acc = AccidentalEstimate(g_acc, source="computed")
+            acc = AccidentalEstimate(g_acc)
             report["coincidence_rate_hz"] = coincidence_rate(
                 hist, args.coincidence_window, acc)
     with open(args.out, "w") as fh:

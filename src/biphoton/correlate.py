@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .tagio import PS_PER_NS, StreamReader, TagStream, check_order
+
+log = logging.getLogger("biphoton")
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,6 @@ class CorrelationHistogram:
             }
             if accidental is not None:
                 meta["g_acc_per_bin"] = accidental.g_acc
-                meta["g_acc_source"] = accidental.source
             with open(sidecar, "w") as fh:
                 json.dump(meta, fh, indent=2)
 
@@ -139,7 +142,6 @@ class AccidentalEstimate:
     """Expected flat coincidence floor per bin."""
 
     g_acc: float
-    source: str = "computed"
 
     def __post_init__(self):
         if self.g_acc < 0:
@@ -156,18 +158,51 @@ class G2Histogram:
     low_statistics: np.ndarray  # True where the bin had zero counts
 
 
+# Each chunk picks its kernel from its own density (see StreamCorrelator).
+# Offsets are compared over the whole chunk while at least this share of
+# its tags still has a partner that far back and less than a span away.
+_WHOLE_SHARE = 1 / 8
+# At this offset (1-8), a chunk whose tags still have partners is counted
+# at the bin edges instead if it has more than this many pairs per tag and
+# per bin.
+_BIN_EDGE_OFFSET = 8
+_BIN_EDGE_PAIRS_PER_BIN = 0.1
+# Keys per binary-search call of the bin-edge kernel: bounds its memory.
+_BIN_EDGE_KEYS = 1 << 16
+
+
 class StreamCorrelator:
     """Single-pass sliding-window correlator over time-ordered chunks.
 
     Feed (channels, timestamps) chunks in global time order; every ordered
     pair (a, b) with dt = t_b - t_a inside the histogram range increments
     the containing bin. A pair in range is less than
-    ``span = max(dt_end_ps, 1 - dt_min_ps)`` ps apart, so each sorted tag
-    of the correlated channel(s) meets the tags 1, 2, ... places before it
-    until one is a span away. Tags d apart land at +d when the earlier is
-    on channel a, at -d when it is on b, and at both in an auto histogram.
-    The tags within a span of a chunk's end are carried into the next
-    feed, so memory stays bounded by the chunk plus one span of tags.
+    ``span = max(dt_end_ps, 1 - dt_min_ps)`` ps apart. Tags d apart land at
+    +d when the earlier is on channel a, at -d when it is on b, and at both
+    in an auto histogram. The tags within a span of a chunk's end are
+    carried into the next feed, so memory stays bounded by the chunk plus
+    one span of tags.
+
+    Each chunk counts the pairs whose later tag it brings with one of three
+    kernels, chosen from that chunk's density; all three give the same
+    integer counts:
+
+    * whole-array: each sorted tag of the correlated channel(s) is compared
+      with the one k places before it, for the whole chunk at once, for
+      k = 1, 2, ... while at least ``_WHOLE_SHARE`` of its tags still have
+      that partner within a span;
+    * gather: past that, only the tags whose partner k - 1 places back was
+      within a span are compared at k, in blocks of 8, 16, 32, ... offsets
+      past 7;
+    * bin-edge: when tags survive to offset ``_BIN_EDGE_OFFSET`` and the
+      chunk has more than ``_BIN_EDGE_PAIRS_PER_BIN`` pairs within a span
+      per tag and per bin, the pairs below each bin edge are counted by
+      binary search and the bins are their differences (see
+      ``_count_at_bin_edges``). Its cost per tag is bounded by the bin
+      count, not by the number of partners.
+
+    ``chunks_by_kernel`` counts the chunks each kernel finished. Work
+    arrays grow to the largest chunk and are reused by later ones.
     """
 
     def __init__(self, config: HistogramConfig):
@@ -175,17 +210,41 @@ class StreamCorrelator:
         self.counts = np.zeros(config.n_bins, dtype=np.int64)
         self.n_a = 0
         self.n_b = 0
+        self.chunks_by_kernel = {"whole": 0, "gather": 0, "bin-edge": 0}
+        self._n_bins = config.n_bins
+        self._bin_ps = config.bin_width_ps
         self._lo_ps = config.dt_min_ps
         self._hi_ps = config.dt_end_ps
         self._span_ps = max(self._hi_ps, 1 - self._lo_ps)
+        self._edges_ps = self._lo_ps + self._bin_ps * np.arange(self._n_bins + 1)
         self._auto = config.channel_a == config.channel_b
         self._carry_t = np.zeros(0, dtype=np.int64)
         self._carry_a = np.zeros(0, dtype=np.int8)
         self._last_ts = None
+        self._work = {}
+        self._n_delays = 0
+
+    def _buffer(self, name, n, dtype, keep=0):
+        """The first n items of a grow-only work array; growing it keeps
+        its first ``keep`` items."""
+        buf = self._work.get(name)
+        if buf is None or len(buf) < n:
+            grown = np.empty(n + n // 8, dtype)
+            if keep:
+                grown[:keep] = buf[:keep]
+            buf = self._work[name] = grown
+        return buf[:n]
+
+    def _append(self, n):
+        """The next n slots of the chunk's delays."""
+        start = self._n_delays
+        self._n_delays += n
+        return self._buffer("delays", self._n_delays, np.int64, keep=start)[start:]
 
     def feed(self, channels, timestamps):
         timestamps = np.asarray(timestamps, dtype=np.int64)
-        channels = np.asarray(channels)
+        # A reader's channels are a strided view, compared far faster copied.
+        channels = np.ascontiguousarray(channels)
         if len(timestamps) == 0:
             return
         check_order(timestamps, self._last_ts)
@@ -193,67 +252,183 @@ class StreamCorrelator:
 
         is_a = channels == self.config.channel_a
         on = is_a if self._auto else is_a | (channels == self.config.channel_b)
-        new_t = np.compress(on, timestamps)
-        new_a = np.compress(on, is_a).view(np.int8)
-        n_a = int(np.count_nonzero(new_a))
+        n_on = int(np.count_nonzero(on))
+        if n_on == len(on):  # every tag is correlated: no copy
+            new_t, new_a = timestamps, is_a
+        else:
+            new_t = timestamps.compress(on)
+            new_a = 1 if self._auto else is_a.compress(on)
+        n_a = n_on if self._auto else int(np.count_nonzero(new_a))
         self.n_a += n_a
-        self.n_b += n_a if self._auto else len(new_t) - n_a
-        if len(new_t) == 0:
+        self.n_b += n_a if self._auto else n_on - n_a
+        if n_on == 0:
             return
 
         # t[0] is a sentinel a span before every tag: it pairs with none.
-        head = self._carry_t[0] if len(self._carry_t) else new_t[0]
-        t = np.concatenate([[head - self._span_ps], self._carry_t, new_t])
-        a = np.concatenate([np.zeros(1, np.int8), self._carry_a, new_a])
-        dt = self._delays(t, a, 1 + len(self._carry_t))
-        dt = np.compress((dt >= self._lo_ps) & (dt < self._hi_ps), dt)
-        self.counts += np.bincount((dt - self._lo_ps) // self.config.bin_width_ps,
-                                   minlength=self.config.n_bins)
-        keep = np.searchsorted(t, self._last_ts - self._span_ps, side="right")
+        first = 1 + len(self._carry_t)
+        t = self._buffer("t", first + n_on, np.int64)
+        a = self._buffer("a", first + n_on, np.int8)
+        t[0] = (self._carry_t[0] if first > 1 else new_t[0]) - self._span_ps
+        t[1:first], t[first:] = self._carry_t, new_t
+        a[0] = 0
+        a[1:first], a[first:] = self._carry_a, new_a
+        self.counts += self._count(t, a, first)
+        keep = t.searchsorted(self._last_ts - self._span_ps, side="right")
         self._carry_t, self._carry_a = t[keep:].copy(), a[keep:].copy()
 
-    def _delays(self, t, a, first):
-        """Delays t_b - t_a of the pairs less than a span apart whose later
-        tag is ``t[first:]``; ``t[0]`` is a sentinel a span before the rest
-        and ``a`` is 1 on channel-a tags. Offsets past 7 go in blocks of 8,
-        16, 32, ..., so a burst of n tags within a span takes about
-        log2(n) + 5 passes and at most twice the comparisons it has pairs.
+    def _count(self, t, a, first):
+        """Counts per bin of the pairs whose later tag is ``t[first:]``;
+        ``t[0]`` is a sentinel a span before the rest and ``a`` is 1 on
+        channel-a tags.
+
+        Offset 1 is compared over the whole chunk. The next offset is too
+        while at least ``_WHOLE_SHARE`` of the tags compared had a partner
+        in reach (``_whole_offset``); past that, only those tags are
+        gathered (``_gather_offsets``). Once tags survive to offset
+        ``_BIN_EDGE_OFFSET``, known before any compare when the first tag
+        of the chunk does, ``_dense`` counts their partners, and a chunk
+        with more than ``_BIN_EDGE_PAIRS_PER_BIN`` per tag and bin is
+        counted at the bin edges instead (``_count_at_bin_edges``).
         """
-        d = t[first:] - t[first - 1:-1]
-        j = np.flatnonzero(d < self._span_ps)
-        d = d[j]
-        j += first
-        later, earlier = j, j - 1
-        out = []
-        k = 2
-        while True:
-            if self._auto:
-                out += [d, -d]
+        self._n_delays, kernel = 0, "whole"
+        # When the first tag reaches _BIN_EDGE_OFFSET, tags survive to it:
+        # choose before comparing any.
+        back = first + 1 - _BIN_EDGE_OFFSET
+        choose_at = (1 if back >= 0 and t[first] - t[back] < self._span_ps
+                     else _BIN_EDGE_OFFSET)
+        k, j = 1, None  # j: the tags still in reach; None while all are
+        while j is None or len(j):
+            if k == choose_at and self._dense(t, first, j):
+                self.chunks_by_kernel["bin-edge"] += 1
+                return self._count_at_bin_edges(t, a, first)
+            if j is None:
+                j = self._whole_offset(t, a, first, k)
+                k += 1
             else:
-                # +1 for (a, b), -1 for (b, a), 0 for a pair on one channel.
-                sign = a[earlier] - a[later]
-                out.append(np.compress(sign != 0, d * sign))
-            if not len(j):
-                return np.concatenate(out)
-            width = 1 if k < 8 else k
-            if width == 1:
-                later, earlier = j, j - k
-            else:
-                later = np.repeat(j, width)
-                earlier = later - np.tile(np.arange(k, k + width), len(j))
-            np.maximum(earlier, 0, out=earlier)  # past the start: the sentinel
-            d = t[later] - t[earlier]
-            near = d < self._span_ps
-            j = np.compress(near[width - 1::width], j)
-            later = j if width == 1 else np.compress(near, later)
-            earlier, d = np.compress(near, earlier), np.compress(near, d)
-            k += width
+                kernel = "gather"
+                j, k = self._gather_offsets(t, a, j, k)
+        self.chunks_by_kernel[kernel] += 1
+        # Bin in place; a delay out of range, below it wrapped to a huge
+        # unsigned value, lands in an extra last bin.
+        key = self._buffer("delays", self._n_delays, np.int64)
+        np.subtract(key, self._lo_ps, out=key)
+        np.minimum(key.view(np.uint64), np.uint64(self._hi_ps - self._lo_ps),
+                   out=key.view(np.uint64))
+        np.floor_divide(key, self._bin_ps, out=key)
+        return np.bincount(key, minlength=self._n_bins + 1)[:-1]
+
+    def _whole_offset(self, t, a, first, k):
+        """Appends the delays of the pairs k places apart whose later tag
+        is ``t[first:]``, compared over the whole chunk. Returns None while
+        at least ``_WHOLE_SHARE`` of the compared tags had that partner in
+        reach, else the indices of those that had."""
+        n = len(t)
+        s = max(first, k)  # a tag nearer the start reached the sentinel
+        m = n - s
+        if m <= 0:
+            return np.zeros(0, dtype=np.intp)
+        d = np.subtract(t[s:], t[s - k:n - k], out=self._buffer("d", m, np.int64))
+        near = np.less(d, self._span_ps, out=self._buffer("near", m, np.bool_))
+        n_near = np.count_nonzero(near)
+        j = None if n_near and n_near >= _WHOLE_SHARE * m else np.flatnonzero(near) + s
+        if self._auto:
+            d = d.compress(near, out=self._append(n_near))
+            np.negative(d, out=self._append(n_near))
+        else:
+            # +1 for (a, b), -1 for (b, a), 0 for a pair on one channel.
+            sign = np.subtract(a[s - k:n - k], a[s:],
+                               out=self._buffer("sign", m, np.int8))
+            np.logical_and(near, sign, out=near)
+            np.multiply(d, sign, out=d)
+            d.compress(near, out=self._append(np.count_nonzero(near)))
+        return j
+
+    def _gather_offsets(self, t, a, j, k):
+        """Appends the delays of the pairs k places apart whose later tag
+        is one of ``j``, the tags whose partner k - 1 places back was in
+        reach, and returns the tags still in reach with the next offset.
+        Offsets past 7 go in blocks of 8, 16, 32, ..., so a burst of n tags
+        within a span takes about log2(n) + 5 passes and at most twice the
+        comparisons it has pairs."""
+        width = 1 if k < 8 else k
+        if width == 1:
+            later, earlier = j, j - k
+        else:
+            later = np.repeat(j, width)
+            earlier = later - np.tile(np.arange(k, k + width), len(j))
+        np.maximum(earlier, 0, out=earlier)  # past the start: the sentinel
+        d = t[later] - t[earlier]
+        near = d < self._span_ps
+        j = j.compress(near[width - 1::width])
+        later = j if width == 1 else later.compress(near)
+        earlier, d = earlier.compress(near), d.compress(near)
+        if self._auto:
+            self._append(len(d))[:] = d
+            np.negative(d, out=self._append(len(d)))
+        else:
+            sign = a[earlier] - a[later]
+            pair = sign != 0
+            (d * sign).compress(pair, out=self._append(np.count_nonzero(pair)))
+        return j, k + width
+
+    def _dense(self, t, first, j):
+        """Whether the tags ``j`` still in reach, all of ``t[first:]`` when
+        None, have more than ``_BIN_EDGE_PAIRS_PER_BIN`` pairs less than a
+        span apart per bin and per tag of the chunk."""
+        if j is None:
+            j = np.arange(first, len(t))
+        # Tag i has i - (the first index less than a span before it) partners.
+        reach = t.searchsorted(t[j] - self._span_ps, side="right")
+        partners = int(j.sum() - reach.sum())
+        return partners > _BIN_EDGE_PAIRS_PER_BIN * self._n_bins * (len(t) - first)
+
+    def _count_at_bin_edges(self, t, a, first):
+        """Counts per bin of the pairs with a tag in ``t[first:]``, from
+        C[k], the pairs with delay below bin edge e_k, and counts = diff(C).
+
+        These are the pairs of carry and chunk less those of the carry:
+        (a in chunk, b anywhere), below e_k when t_b < t_a + e_k, and
+        (a in carry, b in chunk), below e_k when t_a > t_b - e_k.
+        """
+        carry_t, new_t = t[1:first], t[first:]
+        if self._auto:
+            a_carry, a_new, b_new, b_all = carry_t, new_t, new_t, t[1:]
+        else:
+            on_a = a[1:].view(np.bool_)
+            on_b = ~on_a
+            a_new = new_t.compress(on_a[first - 1:])
+            b_new = new_t.compress(on_b[first - 1:])
+            # Select only what the new tags of each channel pair with.
+            b_all = t[1:].compress(on_b) if len(a_new) else new_t[:0]
+            a_carry = carry_t.compress(on_a[:first - 1]) if len(b_new) else new_t[:0]
+        below = (_summed_searches(b_all, a_new, self._edges_ps, "left")
+                 + len(a_carry) * len(b_new)
+                 - _summed_searches(a_carry, b_new, -self._edges_ps, "right"))
+        counts = below[1:] - below[:-1]
+        if self._auto and self._lo_ps <= 0 < self._hi_ps:
+            counts[-self._lo_ps // self._bin_ps] -= len(a_new)  # self-pairs
+        return counts
 
     def finish(self, duration_s: float) -> CorrelationHistogram:
         """The histogram of everything fed so far, in counts of its own."""
         return CorrelationHistogram(config=self.config, counts=self.counts.copy(),
                                     duration_s=duration_s,
                                     n_a=self.n_a, n_b=self.n_b)
+
+
+def _summed_searches(sorted_ps, keys_ps, offsets_ps, side):
+    """S[k] = sum over x in ``keys_ps`` of
+    ``searchsorted(sorted_ps, x + offsets_ps[k], side)``."""
+    total = np.zeros(len(offsets_ps), dtype=np.int64)
+    if not len(sorted_ps):  # every search gives 0
+        return total
+    # One row per offset: each row's keys are sorted, which binary search
+    # takes faster than one row per key.
+    cols = max(1, _BIN_EDGE_KEYS // len(offsets_ps))
+    for i in range(0, len(keys_ps), cols):
+        keys = offsets_ps[:, None] + keys_ps[i:i + cols]
+        total += sorted_ps.searchsorted(keys, side).sum(axis=1)
+    return total
 
 
 def cross_correlate(stream: TagStream | StreamReader, config: HistogramConfig,
@@ -263,8 +438,10 @@ def cross_correlate(stream: TagStream | StreamReader, config: HistogramConfig,
 
     ``duration_s`` defaults to the gated live time recorded in the stream
     header. Auto-correlation of one HBT arm is the same operation with the
-    arm's two detector channels as channel_a/channel_b.
+    arm's two detector channels as channel_a/channel_b. Logs one DEBUG
+    line per pass on the ``biphoton`` logger.
     """
+    started = time.perf_counter()
     if duration_s is None:
         duration_s = stream.header.acquisition_seconds
     if isinstance(stream, StreamReader):
@@ -272,9 +449,16 @@ def cross_correlate(stream: TagStream | StreamReader, config: HistogramConfig,
     else:
         chunks = [(stream.channels, stream.timestamps)]
     corr = StreamCorrelator(config)
+    tags = 0
     for channels, timestamps in chunks:
+        tags += len(timestamps)
         corr.feed(channels, timestamps)
-    return corr.finish(duration_s)
+    hist = corr.finish(duration_s)
+    log.debug("correlate %d-%d: %d tags in, %d pairs counted, chunks by kernel "
+              "%s, %.3f s", config.channel_a, config.channel_b, tags,
+              hist.total_coincidences, corr.chunks_by_kernel,
+              time.perf_counter() - started)
+    return hist
 
 
 def accidental_rate(rate_a_hz: float, rate_b_hz: float, bin_width_s: float,
@@ -285,8 +469,7 @@ def accidental_rate(rate_a_hz: float, rate_b_hz: float, bin_width_s: float,
                     ("bin_width", bin_width_s), ("duration", duration_s)):
         if v < 0:
             raise ValidationError("must be non-negative", field=name)
-    return AccidentalEstimate(rate_a_hz * rate_b_hz * bin_width_s * duration_s,
-                              source="computed")
+    return AccidentalEstimate(rate_a_hz * rate_b_hz * bin_width_s * duration_s)
 
 
 def accidental_from_histogram(hist: CorrelationHistogram) -> AccidentalEstimate:

@@ -240,9 +240,12 @@ def _parse_header(fh):
 
 
 def _decode_records(buf: bytes):
-    words = np.frombuffer(buf, dtype=np.uint64)
-    channels = (words & np.uint64(0xFF)).astype(np.uint8)
-    timestamps = (words >> np.uint64(8)).astype(np.int64)
+    """Channels and timestamps of whole records. The channels are a strided
+    view of ``buf``, read-only when it is ``bytes``; the timestamps are the
+    only copy made."""
+    words = np.frombuffer(buf, dtype="<u8")
+    channels = words.view(np.uint8)[::RECORD_SIZE]  # a record's low byte
+    timestamps = (words >> np.uint64(8)).view(np.int64)
     return channels, timestamps
 
 
@@ -270,8 +273,10 @@ class StreamReader:
     def chunks(self):
         """Yield (channels, timestamps) array pairs of bounded size.
 
-        Raises ``OrderingError`` at the first chunk whose records are out of
-        order, within the chunk or against the end of the chunk before.
+        A chunk's channels may be a read-only view of the bytes read; copy
+        them before writing to them. Raises ``OrderingError`` at the first
+        chunk whose records are out of order, within the chunk or against
+        the end of the chunk before.
         """
         offset = self._data_offset
         last = None

@@ -1,3 +1,7 @@
+import io
+import logging
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +9,24 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_histogram
 
+from biphoton import correlate
 from biphoton.correlate import (AccidentalEstimate, HistogramConfig,
                                 StreamCorrelator, accidental_rate,
                                 coincidence_rate, cross_correlate, normalize)
 from biphoton.errors import OrderingError, ValidationError
-from biphoton.tagio import StreamHeader, TagStream
+from biphoton.tagio import StreamHeader, StreamReader, TagStream, write_stream
+
+# Thresholds under which every chunk is counted by one kernel.
+FORCED = {
+    "whole": {"_WHOLE_SHARE": 0.0, "_BIN_EDGE_PAIRS_PER_BIN": math.inf},
+    "gather": {"_WHOLE_SHARE": 2.0, "_BIN_EDGE_PAIRS_PER_BIN": math.inf},
+    "bin-edge": {"_BIN_EDGE_OFFSET": 1, "_BIN_EDGE_PAIRS_PER_BIN": -1.0},
+}
+
+
+def force_kernel(monkeypatch, kernel):
+    for name, value in FORCED[kernel].items():
+        monkeypatch.setattr(correlate, name, value)
 
 
 def random_stream(rng, n, t_max_ps=2_000_000, n_channels=2):
@@ -210,9 +227,9 @@ class TestIsolatedTagPrefilter:
         self.check_all(ch[1:], ts[1:])
 
 
-class TestNeighbourSweep:
-    """The offset sweep equals the all-pairs oracle for any stream, window
-    and chunking."""
+def sweep_property():
+    """The hypothesis property of ``TestNeighbourSweep``, made anew for each
+    class that runs it: one wrapped test must not run on several classes."""
 
     @settings(max_examples=200, deadline=None)
     @given(tags=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 25)),
@@ -243,6 +260,15 @@ class TestNeighbourSweep:
         assert hist.n_a == np.count_nonzero(channels == pair[0])
         assert hist.n_b == np.count_nonzero(channels == pair[1])
 
+    return test_equals_brute_force
+
+
+class TestNeighbourSweep:
+    """The offset sweep equals the all-pairs oracle for any stream, window
+    and chunking."""
+
+    test_equals_brute_force = sweep_property()
+
     @pytest.mark.parametrize("pair", [(0, 1), (1, 0), (1, 1)])
     def test_burst_carried_past_many_chunks(self, pair):
         # 200 tags 100 ps apart sit inside one 30 ns span, between isolated
@@ -258,6 +284,128 @@ class TestNeighbourSweep:
         expected = brute(stream, cfg)
         assert expected.sum() > 5000
         assert np.array_equal(feed_in_chunks(stream, cfg, 3).counts, expected)
+
+
+class ForcedKernel:
+    """Runs the cases of the test class it is mixed into with every chunk
+    counted by ``KERNEL``."""
+
+    KERNEL = None
+
+    @pytest.fixture(autouse=True, scope="class")
+    def forced_kernel(self):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            force_kernel(monkeypatch, self.KERNEL)
+            yield
+
+
+class TestIsolatedTagPrefilterWhole(ForcedKernel, TestIsolatedTagPrefilter):
+    KERNEL = "whole"
+
+
+class TestIsolatedTagPrefilterGather(ForcedKernel, TestIsolatedTagPrefilter):
+    KERNEL = "gather"
+
+
+class TestIsolatedTagPrefilterBinEdge(ForcedKernel, TestIsolatedTagPrefilter):
+    KERNEL = "bin-edge"
+
+
+class TestNeighbourSweepWhole(ForcedKernel, TestNeighbourSweep):
+    KERNEL = "whole"
+    test_equals_brute_force = sweep_property()
+
+
+class TestNeighbourSweepGather(ForcedKernel, TestNeighbourSweep):
+    KERNEL = "gather"
+    test_equals_brute_force = sweep_property()
+
+
+class TestNeighbourSweepBinEdge(ForcedKernel, TestNeighbourSweep):
+    KERNEL = "bin-edge"
+    test_equals_brute_force = sweep_property()
+
+
+class TestKernelChoice:
+    """Each chunk picks its kernel from its own density."""
+
+    # A 30 ns span and 50 bins: more than 5 pairs per tag is dense.
+    CROSS = HistogramConfig(bin_width=1.0, dt_min=-20, dt_max=30)
+    AUTO = HistogramConfig(bin_width=1.0, dt_min=-20, dt_max=30,
+                           channel_a=1, channel_b=1)
+    BOUNDS = [200, 400, 800]  # where the density changes
+
+    def crossing_stream(self):
+        """Sparse, regular and dense stretches 40 us apart, then sparse
+        again: tags 300 ns apart on average, exactly 12 ns apart (partners
+        one and two places back only) and 400 tags in 100 ns."""
+        rng = np.random.default_rng(12)
+        sparse = np.sort(rng.integers(0, 60_000_000, 200))
+        regular = 100_000_000 + 12_000 * np.arange(200)
+        dense = 200_000_000 + np.sort(rng.integers(0, 100_000, 400))
+        ts = np.concatenate([sparse, regular, dense, 300_000_000 + sparse])
+        return TagStream(channels=rng.integers(0, 2, len(ts)).astype(np.uint8),
+                         timestamps=ts.astype(np.int64))
+
+    def feed(self, stream, cfg, bounds):
+        corr = StreamCorrelator(cfg)
+        for ch, ts in zip(np.split(stream.channels, bounds),
+                          np.split(stream.timestamps, bounds)):
+            corr.feed(ch, ts)
+        return corr
+
+    @pytest.mark.parametrize("cfg", [CROSS, AUTO])
+    def test_chunks_of_each_density_take_their_kernel(self, cfg):
+        stream = self.crossing_stream()
+        corr = self.feed(stream, cfg, self.BOUNDS)
+        assert corr.chunks_by_kernel == {"whole": 1, "gather": 2, "bin-edge": 1}
+        assert np.array_equal(corr.finish(1.0).counts, brute(stream, cfg))
+
+    @pytest.mark.parametrize("cfg", [CROSS, AUTO])
+    def test_random_splits_across_the_crossings(self, cfg):
+        stream = self.crossing_stream()
+        expected = brute(stream, cfg)
+        assert expected.sum() > 10_000
+        rng = np.random.default_rng(34)
+        for _ in range(20):
+            bounds = np.sort(rng.choice(np.arange(1, len(stream)),
+                                        rng.integers(1, 40), replace=False))
+            hist = self.feed(stream, cfg, bounds).finish(1.0)
+            assert np.array_equal(hist.counts, expected), bounds
+
+    @pytest.mark.parametrize("kernel", sorted(FORCED))
+    def test_forced_thresholds_pick_one_kernel(self, kernel, monkeypatch):
+        force_kernel(monkeypatch, kernel)
+        stream = self.crossing_stream()
+        bounds = np.arange(100, len(stream), 100)
+        corr = self.feed(stream, self.CROSS, bounds)
+        assert corr.chunks_by_kernel[kernel] == len(bounds) + 1
+        assert np.array_equal(corr.finish(1.0).counts, brute(stream, self.CROSS))
+
+
+class TestLogging:
+    def test_one_debug_line_per_pass(self, caplog):
+        stream = random_stream(np.random.default_rng(4), 1000)
+        buf = io.BytesIO()
+        write_stream(stream, sink=buf)
+        buf.seek(0)
+        with caplog.at_level(logging.DEBUG, logger="biphoton"):
+            hist = cross_correlate(StreamReader(buf, chunk_records=100),
+                                   HistogramConfig())
+        assert len(caplog.records) == 1
+        record = caplog.records[0]
+        assert (record.name, record.levelno) == ("biphoton", logging.DEBUG)
+        message = record.getMessage()
+        assert "1000 tags in" in message
+        assert f"{hist.total_coincidences} pairs counted" in message
+        for kernel in FORCED:
+            assert f"'{kernel}'" in message
+
+    def test_silent_at_warning(self, caplog):
+        stream = random_stream(np.random.default_rng(4), 1000)
+        with caplog.at_level(logging.WARNING, logger="biphoton"):
+            cross_correlate(stream, HistogramConfig())
+        assert caplog.records == []
 
 
 class TestAccidentals:

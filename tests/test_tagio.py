@@ -13,10 +13,10 @@ from biphoton.errors import (CorruptionError, OrderingError, StreamFormatError,
                              ValidationError)
 from biphoton.sequence import (PS_PER_US, DutyCycleSpec, HardwareProfile,
                                compile_duty_cycle, emit_gates)
-from biphoton.tagio import (GATE_READ_WINDOWS, HEADER_SIZE, MAGIC, RECORD_SIZE,
-                            StreamHeader, StreamReader, StreamWriter, TagStream,
-                            check_gates, merge_streams, read_stream,
-                            total_gate_time_ps, write_stream)
+from biphoton.tagio import (GATE_READ_WINDOWS, HEADER_SIZE, MAGIC, MAX_TIMESTAMP,
+                            RECORD_SIZE, StreamHeader, StreamReader, StreamWriter,
+                            TagStream, _decode_records, check_gates, merge_streams,
+                            read_stream, total_gate_time_ps, write_stream)
 
 
 def tag_stream(pairs, **kwargs):
@@ -296,6 +296,10 @@ class TestCheckGates:
         with pytest.raises(ValidationError):
             StreamWriter(io.BytesIO(), gates=[(-5, 10)])
 
+    def test_total_gate_time(self):
+        gates = [(0, 10), (20, 25)]
+        assert total_gate_time_ps(gates) == 15
+
 
 class TestStreaming:
     def build(self, n=10_000, seed=2):
@@ -338,15 +342,36 @@ class TestStreaming:
                 writer.write([0], [50])
 
 
-class TestGateFilter:
-    def test_total_gate_time(self):
-        gates = [(0, 10), (20, 25)]
-        assert total_gate_time_ps(gates) == 15
-
-
 def test_merge_streams_sorted():
     a = tag_stream([(0, 1), (0, 5)])
     b = tag_stream([(1, 3)])
     merged = merge_streams(a, b)
     assert merged.timestamps.tolist() == [1, 3, 5]
     assert merged.channels.tolist() == [0, 1, 0]
+
+
+class TestDecodeRecords:
+    def test_matches_the_astype_decode(self):
+        rng = np.random.default_rng(8)
+        words = rng.integers(0, 1 << 64, 1000, dtype=np.uint64, endpoint=False)
+        words[:3] = [0xFF, (MAX_TIMESTAMP << 8) | 0xFF, MAX_TIMESTAMP << 8]
+        buf = words.astype("<u8").tobytes()
+        channels, timestamps = _decode_records(buf)
+        old = np.frombuffer(buf, dtype=np.uint64)
+        assert channels.dtype == np.uint8 and timestamps.dtype == np.int64
+        assert np.array_equal(channels, (old & np.uint64(0xFF)).astype(np.uint8))
+        assert np.array_equal(timestamps, (old >> np.uint64(8)).astype(np.int64))
+        assert channels[:3].tolist() == [255, 255, 0]
+        assert timestamps[:3].tolist() == [0, MAX_TIMESTAMP, MAX_TIMESTAMP]
+
+    @pytest.mark.parametrize("pairs", [
+        [], [(0, 5)], [(0, 5), (255, 9), (1, MAX_TIMESTAMP)]])
+    def test_read_stream_arrays_are_contiguous_and_writable(self, pairs):
+        buf = io.BytesIO()
+        write_stream(tag_stream(pairs), sink=buf)
+        buf.seek(0)
+        back = read_stream(buf)
+        assert pairs_of(back) == pairs
+        for arr, dtype in ((back.channels, np.uint8), (back.timestamps, np.int64)):
+            assert arr.dtype == dtype
+            assert arr.flags.c_contiguous and arr.flags.writeable
