@@ -12,6 +12,7 @@ import csv
 import json
 import logging
 import os
+import statistics
 import sys
 
 import numpy as np
@@ -22,7 +23,7 @@ from .correlate import (AccidentalEstimate, CorrelationHistogram, HistogramConfi
                         accidental_from_histogram, cross_correlate, coincidence_rate)
 from .errors import (BiphotonError, CorruptionError, NonConvergenceError,
                      StreamFormatError, ValidationError)
-from .fitting import ModelKind, fit, initial_guess, model_eval
+from .fitting import PARAM_NAMES, ModelKind, fit, initial_guess, model_eval
 from .metrics import (ODContext, atom_number, bandwidth_from_tau, cauchy_schwarz,
                       spectral_brightness)
 from .pipeline import simulate_experiment, write_manifest
@@ -128,7 +129,10 @@ def cmd_fit(args) -> int:
     if not g_acc or g_acc <= 0:
         raise ValidationError("need a positive accidental floor "
                               "(--g-acc or histogram metadata)", field="g_acc")
-    bin_width = meta.get("bin_width_ns", float(np.median(np.diff(centers))))
+    bin_width = meta.get("bin_width_ns")
+    if bin_width is None:
+        # statistics.median: np.median would import numpy.ma (about 12 ms).
+        bin_width = statistics.median(np.diff(centers).tolist())
     y = counts / g_acc
     # sqrt(n + 1) tempers the low-count bias of sqrt(n) weights.
     sigma = np.sqrt(counts + 1.0) / g_acc
@@ -179,7 +183,6 @@ def _model_maximum(result, centers) -> float:
 
 
 def _print_fit(result):
-    from .fitting import PARAM_NAMES
     names = PARAM_NAMES[result.kind]
     bits = [f"{n}={result[n]:.6g}+-{result.uncertainty(n):.3g}" for n in names]
     status = "converged" if result.converged else "NOT CONVERGED"

@@ -54,10 +54,13 @@ def brute_force_histogram(channels, timestamps, *, channel_a, channel_b,
     counts = np.zeros(n_bins, dtype=np.int64)
     chunk = max(1, 10_000_000 // max(len(tb), 1))
     for i in range(0, len(ta), chunk):
-        dt = tb[None, :] - ta[i:i + chunk, None]
-        sel = (dt >= dt_min_ps) & (dt < dt_end_ps)
-        idx = (dt[sel] - dt_min_ps) // bin_width_ps
-        counts += np.bincount(idx, minlength=n_bins)
+        # Every pair's delay less (dt_min - bin_width), so that its floor
+        # quotient is the bin index + 1; clipped to an underflow bin 0 and
+        # an overflow bin n_bins + 1, and counted in one pass.
+        dt = tb[None, :] - (ta[i:i + chunk, None] + (dt_min_ps - bin_width_ps))
+        dt //= bin_width_ps
+        np.clip(dt, 0, n_bins + 1, out=dt)
+        counts += np.bincount(dt.ravel(), minlength=n_bins + 2)[1:-1]
     if channel_a == channel_b and dt_min_ps <= 0 < dt_end_ps:
         counts[(0 - dt_min_ps) // bin_width_ps] -= len(ta)
     return counts

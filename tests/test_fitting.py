@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
+from scipy.special import erfc as scipy_erfc
+from scipy.special import erfcx as scipy_erfcx
 
 from oracles import auto_model, cross_model
 
-from biphoton.errors import ValidationError
-from biphoton.fitting import (DEFAULT_FIXED, PARAM_NAMES, ModelKind,
-                              exp_gauss, exp_gauss_grad, fit, initial_guess,
+from biphoton import fitting
+from biphoton.errors import NonConvergenceError, ValidationError
+from biphoton.fitting import (DEFAULT_FIXED, FTOL, LOWER_BOUNDS, PARAM_NAMES, ModelKind,
+                              erfcx, exp_gauss, exp_gauss_grad, fit, initial_guess,
                               model_eval, model_eval_binned, model_jacobian)
 
 
@@ -14,6 +18,70 @@ def perturbed_start(kind, truth, factor=1.3):
     fixed = DEFAULT_FIXED[kind]
     return np.array([v if n in fixed else v * factor
                      for n, v in zip(names, truth)])
+
+
+def scipy_fit(x, y, sigma_y, kind, initial_params, bin_width=0.0, n_starts=8):
+    """(chi2, params) of the same fit through SciPy's bounded trust-region
+    solver: the same residuals, Jacobian, bounds, evaluation budget and
+    starts, and the best chi-square of the starts."""
+    names = PARAM_NAMES[kind]
+    free_idx = [names.index(n) for n in names if n not in DEFAULT_FIXED[kind]]
+    p0 = np.asarray(initial_params, dtype=float)
+
+    def with_free(p):
+        full = p0.copy()
+        full[free_idx] = p
+        return full
+
+    rng = np.random.default_rng(0)
+    best = None
+    for start in range(n_starts):
+        p_start = p0[free_idx]
+        if start > 0:
+            p_start = p_start * np.exp(rng.normal(0.0, 0.2, size=len(p_start)))
+        res = least_squares(
+            lambda p: (model_eval_binned(kind, with_free(p), x, bin_width) - y) / sigma_y,
+            p_start, jac=lambda p: (model_jacobian(kind, with_free(p), x, bin_width)[:, free_idx]
+                                    / sigma_y[:, None]),
+            bounds=(np.asarray(LOWER_BOUNDS[kind])[free_idx], np.inf), max_nfev=500)
+        if best is None or 2 * res.cost < best[0]:
+            best = (2 * res.cost, with_free(res.x))
+    return best
+
+
+def poisson_cross(seed, params, g_acc=50.0):
+    """A cross histogram of 1.4 ns bins as ``biphoton fit`` sees it."""
+    kind = ModelKind.CROSS_CONVOLVED
+    x = np.arange(-20.3, 100.0, 1.4)
+    counts = np.random.default_rng(seed).poisson(
+        g_acc * model_eval_binned(kind, params, x, 1.4))
+    return x, counts / g_acc, np.sqrt(counts + 1.0) / g_acc
+
+
+class TestErfcx:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_matches_scipy_over_the_double_range(self):
+        z = np.concatenate([np.linspace(0.0, 30.0, 100_001),
+                            np.logspace(-300, 300, 6001), [0.0, 1e300]])
+        assert np.max(np.abs(erfcx(z) / scipy_erfcx(z) - 1.0)) < 1e-13
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exp_gauss_matches_scipy_erfc_on_both_signs(self):
+        # exp_gauss takes erfc(z) = 2 - exp(-z^2) erfcx(-z) for z < 0.
+        t = np.linspace(-10.0, 40.0, 5001)
+        for tau, sigma in ((4.4, 0.61), (0.5, 2.0), (18.9, 0.05)):
+            z = (sigma * sigma - t * tau) / (np.sqrt(2.0) * sigma * tau)
+            assert np.any(z < 0) and np.any(z > 0)
+            pos, neg = z >= 0, z < 0
+            reference = np.empty_like(t)
+            reference[pos] = (0.5 * np.exp(-t[pos] ** 2 / (2 * sigma * sigma))
+                              * scipy_erfcx(z[pos]))
+            reference[neg] = (0.5 * np.exp(sigma * sigma / (2 * tau * tau) - t[neg] / tau)
+                              * scipy_erfc(z[neg]))
+            tiny = reference < 1e-300
+            rel = np.abs(exp_gauss(t, tau, sigma)[~tiny] / reference[~tiny] - 1.0)
+            assert rel.max() < 1e-13
+            assert np.all(exp_gauss(t, tau, sigma)[tiny] < 1e-290)
 
 
 class TestModels:
@@ -258,6 +326,63 @@ class TestFit:
         b = fit(x, y, np.ones_like(x), ModelKind.CROSS_CONVOLVED, truth * 1.2)
         assert np.array_equal(a.params, b.params)
         assert a.chi2 == b.chi2
+
+
+class TestSolverAgainstScipy:
+    @pytest.mark.parametrize("kind, truth, x, bin_width", [
+        (ModelKind.CROSS_CONVOLVED, (30.0, 4.4, 0.61, 1.0), np.arange(-20.3, 100.0, 1.4), 1.4),
+        (ModelKind.AUTO_CONVOLVED, (0.8, 18.9, 0.9, 1.0), np.arange(-100.1, 100.0, 1.4), 1.4),
+        (ModelKind.ABSORPTION_OD, (20.0, 6.065, 3.0), np.linspace(-100, 100, 161), 0.0),
+    ])
+    def test_interior_fit_matches_scipy(self, kind, truth, x, bin_width):
+        y = model_eval_binned(kind, truth, x, bin_width)
+        sigma = np.sqrt(50.0 * np.abs(y) + 1.0) / 50.0
+        p0 = initial_guess(x, y, kind)
+        r = fit(x, y, sigma, kind, p0, bin_width=bin_width)
+        _, params = scipy_fit(x, y, sigma, kind, p0, bin_width)
+        assert r.converged and r.starts_converged == 8
+        free = r.uncertainties > 0
+        assert np.all(np.abs(r.params - params)[free] < 1e-6 * r.uncertainties[free])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cross_with_zero_jitter_reaches_scipy_chi2(self, seed):
+        # The chi-square is flat in tau_d below about 0.03 ns on this grid, so
+        # a solver that steps onto the bound stalls there.
+        kind = ModelKind.CROSS_CONVOLVED
+        x, y, sigma = poisson_cross(seed, (300.0, 4.4, 0.0, 1.0))
+        p0 = initial_guess(x, y, kind)
+        r = fit(x, y, sigma, kind, p0, bin_width=1.4)
+        chi2, _ = scipy_fit(x, y, sigma, kind, p0, 1.4)
+        assert r.converged
+        assert r.chi2 <= chi2 * (1 + FTOL)
+
+    @pytest.mark.parametrize("bump", [0.02, 0.1])
+    def test_absorption_with_zero_depth_reaches_scipy_chi2(self, bump):
+        # Transmission above 1 everywhere: the best optical depth is 0.
+        kind = ModelKind.ABSORPTION_OD
+        x = np.linspace(-60, 60, 121)
+        y = 1.0 + bump * np.exp(-(x / 10.0) ** 2)
+        sigma = np.full_like(x, 0.01)
+        p0 = initial_guess(x, y, kind)
+        r = fit(x, y, sigma, kind, p0)
+        chi2, _ = scipy_fit(x, y, sigma, kind, p0)
+        assert r.converged
+        assert r["od"] < 1e-4
+        assert r.chi2 <= chi2 * (1 + FTOL)
+
+    def test_evaluation_budget_ends_the_fit(self, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 3)
+        kind = ModelKind.CROSS_CONVOLVED
+        x, y, sigma = poisson_cross(2021, (30.0, 4.4, 0.61, 1.0))
+        p0 = initial_guess(x, y, kind)
+        r = fit(x, y, sigma, kind, p0, bin_width=1.4)
+        assert not r.converged
+        assert r.starts_converged == 0
+        assert r.n_evaluations == 3
+        assert r.message
+        with pytest.raises(NonConvergenceError) as err:
+            fit(x, y, sigma, kind, p0, bin_width=1.4, raise_on_failure=True)
+        assert err.value.result.n_evaluations == 3
 
 
 class TestInitialGuess:
