@@ -28,7 +28,7 @@ from .metrics import (ODContext, atom_number, bandwidth_from_tau, cauchy_schwarz
                       spectral_brightness)
 from .pipeline import simulate_experiment, write_manifest
 from .sequence import compile_duty_cycle, emit_gates, validate
-from .tagio import StreamReader, write_stream
+from .tagio import StreamReader
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -59,12 +59,11 @@ def cmd_simulate(args) -> int:
     config, digest = load_config(args.config)
     if args.seed is not None:
         config = type(config)(**{**config.__dict__, "seed": args.seed})
-    result = simulate_experiment(config, config_hash=digest)
-    write_stream(result.stream, sink=args.out)
+    manifest = simulate_experiment(config, args.out, config_hash=digest)
     manifest_path = args.manifest or (str(args.out) + ".manifest.json")
-    write_manifest(result.manifest, manifest_path)
-    print(f"wrote {result.manifest['n_tags']} tags over "
-          f"{result.live_time_s:.6g} s gated live time to {args.out}")
+    write_manifest(manifest, manifest_path)
+    print(f"wrote {manifest['n_tags']} tags over "
+          f"{manifest['live_time_s']:.6g} s gated live time to {args.out}")
     return EXIT_OK
 
 

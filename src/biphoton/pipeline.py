@@ -3,10 +3,22 @@ detection -> tag stream. The gate windows are one ``(n, 2)`` int64 array
 (see ``tagio.check_gates``), shared by every stage and written to the
 stream's gate table.
 
-Each species travels as one sorted int64 ps time array: its pair times,
-merged with its chaotic singles when it has any, go through its own
-detector into one channel, and ``tagio.merge_streams`` merges the two
-channels once, signal first among equal times.
+``simulate_experiment`` runs the stages over blocks of whole gates, about
+``_BLOCK_TAGS`` emitted events each, and hands each block's records to one
+``StreamWriter``; the run's stream is never held whole. What it does hold:
+
+* per tag, only one block's arrays (and the few tags carried into the
+  next block);
+* per gate, the gate table (16 bytes) and the pair counts (8 bytes, and
+  8 more per detector with dark counts), because the header needs the
+  gates and every count is drawn before the first block;
+* per chaotic single, 8 bytes for the whole run, because each species'
+  event count must be known before its detector starts.
+
+Within a block each species travels as one sorted int64 ps time array:
+its pair times, merged with its chaotic singles when it has any, go
+through its own detector into one channel, and ``tagio.merge_records``
+merges the two channels, signal first among equal times.
 
 All randomness derives from the config's root seed through a fixed
 spawn order (pairs, signal chaotic, idler chaotic, signal detector, idler
@@ -16,26 +28,24 @@ detector), so partial re-runs of one stage stay consistent with the rest.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import logging
+from contextlib import contextmanager
+from time import perf_counter
 
 import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
 from .sequence import compile_duty_cycle, emit_gates
-from .simulate import detect, generate_chaotic_gated, generate_pairs
-from .tagio import StreamHeader, TagStream, merge_streams, total_gate_time_ps
+from .simulate import Detector, PairSource, detect, generate_chaotic_gated, generate_pairs
+from .tagio import StreamHeader, StreamWriter, merge_records, total_gate_time_ps
 
 SIGNAL_CHANNEL = 0
 IDLER_CHANNEL = 1
+SPECIES = ("signal", "idler")
+_BLOCK_TAGS = 1 << 16  # emitted events per block of gates, about
 
-
-@dataclass
-class SimulationResult:
-    stream: TagStream
-    live_time_s: float
-    n_gates: int
-    manifest: dict
+log = logging.getLogger("biphoton")
 
 
 def derive_stage_seeds(root_seed: int):
@@ -58,41 +68,98 @@ def _species_times(paired: np.ndarray, chaotic: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([paired, chaotic]), kind="stable")
 
 
-def simulate_experiment(config: ExperimentConfig, config_hash: str = "") -> SimulationResult:
+def _block_edges(gates: np.ndarray, pair_counts: np.ndarray, singles) -> list:
+    """The first gate of each block, then the gate count: blocks of whole
+    gates, a new one starting wherever the events emitted before a gate
+    pass another multiple of ``_BLOCK_TAGS``."""
+    before = np.cumsum(pair_counts)
+    before -= pair_counts
+    before *= 2
+    for times in singles:
+        before += np.searchsorted(times, gates[:, 0])
+    before //= _BLOCK_TAGS
+    starts = np.flatnonzero(np.diff(before)) + 1
+    return [0, *starts.tolist(), len(gates)]
+
+
+@contextmanager
+def _timed(wall: dict, stage: str):
+    started = perf_counter()
+    yield
+    wall[stage] += perf_counter() - started
+
+
+def simulate_experiment(config: ExperimentConfig, sink, config_hash: str = "") -> dict:
+    """Simulate one run, write its tag stream to ``sink`` (a path or a
+    binary file object) and return the run manifest.
+
+    Logs the loss budget on the ``biphoton`` logger, one DEBUG line per
+    stage with its event counts and wall time: pairs emitted, chaotic
+    singles, then per detector the events in, those kept by the quantum
+    efficiency, the dark counts added, the tags removed by the +-5 sigma
+    clip and by dead time and the tags out, and the tags written.
+    """
+    wall = dict.fromkeys(("pairs", "chaotic", *SPECIES, "write"), 0.0)
     program = compile_duty_cycle(config.duty_cycle, config.hardware)
     gates = emit_gates(program, config.duty_cycle.gate_channel)
     live_time_s = total_gate_time_ps(gates) * 1e-12
     seeds = derive_stage_seeds(config.seed)
 
-    pairs = generate_pairs(config.source, gates, seeds["pairs"])
-    chaotic_s = generate_chaotic_gated(config.source, "signal", gates,
-                                       seeds["chaotic_signal"])
-    chaotic_i = generate_chaotic_gated(config.source, "idler", gates,
-                                       seeds["chaotic_idler"])
+    with _timed(wall, "pairs"):
+        pairs = PairSource(config.source, gates, seeds["pairs"])
+    with _timed(wall, "chaotic"):
+        singles = [generate_chaotic_gated(config.source, species, gates,
+                                          seeds[f"chaotic_{species}"])
+                   for species in SPECIES]
+    detectors = [Detector(det, pairs.n_pairs + len(times), seeds[f"detect_{species}"], gates)
+                 for species, det, times in zip(
+                     SPECIES, (config.signal_detector, config.idler_detector), singles)]
+    # A tag this far before the next block's first gate can still be
+    # passed by a tag of that block, jittered early.
+    lead_ps = max(d.clip_ps for d in detectors)
+    channels = (SIGNAL_CHANNEL, IDLER_CHANNEL)
+    header = StreamHeader(tick_ps=1, channel_count=2, acquisition_seconds=live_time_s)
+    edges = _block_edges(gates, pairs.counts, singles)
+    taken = [0, 0]  # chaotic singles handed out so far, per species
+    with StreamWriter(sink, header, gates) as writer:
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            block = slice(lo, hi)
+            cut = int(gates[hi, 0]) if hi < len(gates) else None
+            with _timed(wall, "pairs"):
+                emitted = generate_pairs(pairs, block, cut)
+            tags = []
+            for k, paired in enumerate((emitted.signal_ps, emitted.idler_ps)):
+                with _timed(wall, SPECIES[k]):
+                    end = len(singles[k]) if cut is None else int(
+                        np.searchsorted(singles[k], cut))
+                    batch = _species_times(paired, singles[k][taken[k]:end])
+                    taken[k] = end
+                    tags.append(detect(batch, detectors[k], block,
+                                       None if cut is None else cut - lead_ps))
+            with _timed(wall, "write"):
+                writer.write(*merge_records(
+                    [np.full(len(t), ch, np.uint8) for ch, t in zip(channels, tags)], tags))
+    n_tags = sum(d.counts["out"] for d in detectors)
 
-    header = StreamHeader(tick_ps=1, channel_count=2,
-                          acquisition_seconds=live_time_s)
-    stream_s = detect(_species_times(pairs.signal_ps, chaotic_s),
-                      config.signal_detector, SIGNAL_CHANNEL,
-                      seeds["detect_signal"], gates=gates, header=header)
-    stream_i = detect(_species_times(pairs.idler_ps, chaotic_i),
-                      config.idler_detector, IDLER_CHANNEL,
-                      seeds["detect_idler"], gates=gates, header=header)
-    stream = merge_streams(stream_s, stream_i)
-
-    manifest = {
+    log.debug("simulate pairs: emitted=%d wall_s=%.4f", pairs.n_pairs, wall["pairs"])
+    log.debug("simulate chaotic: signal=%d idler=%d wall_s=%.4f",
+              len(singles[0]), len(singles[1]), wall["chaotic"])
+    for species, det in zip(SPECIES, detectors):
+        log.debug("simulate detect %s: %s wall_s=%.4f", species,
+                  " ".join(f"{k}={v}" for k, v in det.counts.items()), wall[species])
+    log.debug("simulate write: tags=%d bytes=%d blocks=%d wall_s=%.4f", n_tags,
+              writer.bytes_written, len(edges) - 1, wall["write"])
+    return {
         "tool": "biphoton",
         "version": __version__,
         "seed": config.seed,
         "config_sha256": config_hash,
         "live_time_s": live_time_s,
         "n_gates": len(gates),
-        "n_tags": len(stream),
-        "n_pairs_emitted": len(pairs.signal_ps),
+        "n_tags": n_tags,
+        "n_pairs_emitted": pairs.n_pairs,
         "channels": {"signal": SIGNAL_CHANNEL, "idler": IDLER_CHANNEL},
     }
-    return SimulationResult(stream=stream, live_time_s=live_time_s,
-                            n_gates=len(gates), manifest=manifest)
 
 
 def write_manifest(manifest: dict, path):

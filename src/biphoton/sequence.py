@@ -195,10 +195,11 @@ def emit_gates(program: SequenceProgram, gate_channel: int) -> np.ndarray:
                      axis=1).astype(np.int64) * slot_ps
     offsets = np.arange(program.cycles, dtype=np.int64) * cycle_ps
     windows = (offsets[:, None, None] + spans).reshape(-1, 2)
-    if not len(windows):
-        return windows
+    del offsets
     # A span that ends at the cycle edge touches the next cycle's first span.
     touch = windows[1:, 0] == windows[:-1, 1]
+    if not touch.any():
+        return windows
     return np.stack([windows[np.r_[True, ~touch], 0],
                      windows[np.r_[~touch, True], 1]], axis=1)
 

@@ -8,10 +8,17 @@ thermal-light relation g2(dt) = 1 + exp(-2|dt|/tau) exactly, without
 modelling atom-number fluctuations.
 
 Every stage from emission to the tag stream works on one species' sorted
-int64 ps time array: ``generate_pairs`` returns the signal and the idler
-times as two such arrays, ``generate_chaotic_gated`` one channel's, and
-``detect`` turns one of them into one detector channel's sorted
-``TagStream``.
+int64 ps time array, one block of whole gates at a time, so per-tag
+arrays are held one block at a time. What is held for the whole run: the
+gate table, and every gate's pair count, which ``PairSource`` draws up
+front (as ``Detector`` does the dark counts); and each channel's chaotic
+singles, 8 bytes per event, which ``generate_chaotic_gated`` draws whole
+because their count sets where the detector's jitter draws start.
+``generate_pairs`` hands out one block's signal and idler arrays, and
+``detect`` runs one block of one species through its ``Detector``. Values
+that cross into the next block (late idlers, jittered tags near the cut,
+the last tag kept for dead time) are carried in the ``PairSource`` and
+the ``Detector``, so the output does not depend on where blocks are cut.
 
 Gates are the sorted, disjoint ``(n, 2)`` int64 array of half-open
 ``[start, end)`` ps windows that ``tagio.check_gates`` accepts; a list of
@@ -24,13 +31,14 @@ draws every gate of a channel from one generator, gate after gate.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .tagio import PS_PER_NS, StreamHeader, TagStream, check_gates, check_order
+from .tagio import PS_PER_NS, TagStream, check_gates, check_order
 
 PS_PER_S = 1_000_000_000_000
 NEWTON_TOL_NS = 1e-4
@@ -81,8 +89,8 @@ class DetectorConfig:
 
 @dataclass
 class PairEmission:
-    """Emission times of the pairs, int64 ps: the signals and the idlers,
-    each sorted. ``len`` counts both species."""
+    """Emission times of one block of pairs, int64 ps: its signals and the
+    idlers released with it, each sorted. ``len`` counts both species."""
 
     signal_ps: np.ndarray
     idler_ps: np.ndarray
@@ -101,34 +109,75 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _gated_poisson(rate: float, spans: np.ndarray, rng) -> np.ndarray:
-    """Unsorted times of a Poisson process at ``rate`` per s inside the
-    spans: one count per span from one ``poisson`` call, then one batch of
-    uniforms places every event in its span."""
+def _advanced(rng, n: int):
+    """A new generator at the state ``rng`` reaches after ``n`` more
+    ``random()`` draws, one 64-bit step each; ``rng`` is left as it is."""
+    bits = copy.deepcopy(rng.bit_generator)
+    bits.advance(n)
+    return np.random.Generator(bits)
+
+
+def _poisson_counts(rate: float, spans: np.ndarray, rng) -> np.ndarray:
+    """Event counts of a Poisson process at ``rate`` per s in each span,
+    from one ``poisson`` call."""
+    mean = (spans[:, 1] - spans[:, 0]).astype(float)
+    mean /= PS_PER_S
+    mean *= rate
+    return rng.poisson(mean)
+
+
+def _place(spans: np.ndarray, counts: np.ndarray, rng) -> np.ndarray:
+    """Unsorted times of ``counts[k]`` events uniform in span ``k``: one
+    uniform per event, in span order."""
     widths_ps = (spans[:, 1] - spans[:, 0]).astype(float)
-    counts = rng.poisson(rate * (widths_ps / PS_PER_S))
-    total = int(counts.sum())
-    offsets = rng.random(total) * np.repeat(widths_ps, counts)
+    offsets = rng.random(int(counts.sum())) * np.repeat(widths_ps, counts)
     return np.repeat(spans[:, 0], counts) + offsets.astype(np.int64)
 
 
-def generate_pairs(src: SourceConfig, gates, seed) -> PairEmission:
-    """Signal and idler emission times inside the gate windows.
+def _held_back(times: np.ndarray, cut):
+    """Sorted ``times`` split at ``cut``: those before it, and those at or
+    past it, which wait for the next block; no cut holds nothing back."""
+    k = len(times) if cut is None else int(np.searchsorted(times, cut))
+    return times[:k], times[k:]
+
+
+class PairSource:
+    """The pair emission of one run, handed out block by block of gates.
+
+    Every gate's pair count is drawn first, in one ``poisson`` call. The
+    same generator then places the signals, one uniform per pair, and a
+    copy of it advanced past all of those uniforms draws the idler delays,
+    so where the blocks are cut changes no draw. Idlers that a block's cut
+    holds back wait in ``carry``.
+    """
+
+    def __init__(self, src: SourceConfig, gates, seed):
+        self.gates = check_gates(gates)
+        self.tau_ps = src.tau_c * PS_PER_NS
+        self.rng = np.random.default_rng(_seed_sequence(seed))
+        self.counts = _poisson_counts(src.pair_rate, self.gates, self.rng)
+        self.n_pairs = int(self.counts.sum())
+        self.delays = _advanced(self.rng, self.n_pairs)
+        self.carry = _no_events()
+
+
+def generate_pairs(source: PairSource, block=slice(None), cut=None) -> PairEmission:
+    """Signal and idler emission times of one block of gates, each sorted.
 
     Signal times are a homogeneous Poisson process at ``pair_rate``
     restricted to the gates; each idler follows its signal by an
-    Exp(tau_c) delay. Both arrays come back sorted, so the k-th idler is
-    no earlier than the k-th signal.
+    Exp(tau_c) delay. Idlers at or past ``cut`` (ps) are held back and
+    come with the next block. Blocks are taken in order; the default
+    emits the whole run in one call, and then the k-th idler is no
+    earlier than the k-th signal.
     """
-    gates = check_gates(gates)
-    rng = np.random.default_rng(_seed_sequence(seed))
-    if not len(gates) or src.pair_rate == 0:
-        return PairEmission(_no_events(), _no_events())
-    signal_ps = _gated_poisson(src.pair_rate, gates, rng)
+    signal_ps = _place(source.gates[block], source.counts[block], source.rng)
     signal_ps.sort()
-    delays_ps = rng.exponential(src.tau_c * PS_PER_NS, size=len(signal_ps))
-    idler_ps = signal_ps + np.maximum(delays_ps.astype(np.int64), 0)
+    delays_ps = source.delays.exponential(source.tau_ps, size=len(signal_ps))
+    idler_ps = np.concatenate([source.carry,
+                               signal_ps + np.maximum(delays_ps.astype(np.int64), 0)])
     idler_ps.sort(kind="stable")  # nearly sorted already: timsort's best case
+    idler_ps, source.carry = _held_back(idler_ps, cut)
     return PairEmission(signal_ps, idler_ps)
 
 
@@ -269,45 +318,93 @@ def _dead_time_filter(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:
     return keep
 
 
-def detect(batch: np.ndarray, det: DetectorConfig, channel: int, seed,
-           gates=None, header: StreamHeader | None = None) -> TagStream:
-    """Run one species' sorted int64 ps emission times through one detector
-    and return its channel's time-sorted tag stream.
+class Detector:
+    """One detector's draws and state over the blocks of a run.
+
+    ``n_in`` is the number of events the whole run will feed it. The
+    efficiency uniforms come from ``rng``, one per event; ``jitter``, a
+    copy of ``rng`` advanced past all of them, draws the jitter normals,
+    and ``dark``, from the first child of the seed, draws the dark counts:
+    every gate's count first, then one uniform per count, block by block.
+    So where the blocks are cut changes no draw. Tags that a block's cut
+    holds back wait in ``carry``; ``last`` is the last tag kept, for dead
+    time. ``counts`` sums what each cut did over the run. Without gates
+    there are no dark counts and no clip.
+    """
+
+    def __init__(self, config: DetectorConfig, n_in: int, seed, gates=None):
+        seq = _seed_sequence(seed)
+        self.config = config
+        self.n_in = n_in
+        self.gates = check_gates(gates)
+        self.rng = np.random.default_rng(seq)
+        self.jitter = _advanced(self.rng, n_in if config.quantum_efficiency < 1.0 else 0)
+        self.sigma_ps = config.jitter_sigma * PS_PER_NS
+        self.clip_ps = int(5 * self.sigma_ps)
+        if config.dark_rate > 0:
+            # The child that spawn(1) would give, without counting it as spawned.
+            self.dark = np.random.default_rng(np.random.SeedSequence(
+                seq.entropy, spawn_key=seq.spawn_key + (0,), pool_size=seq.pool_size))
+            self.dark_counts = _poisson_counts(config.dark_rate, self.gates, self.dark)
+        self.bounds = ((int(self.gates[0, 0]) - self.clip_ps,
+                        int(self.gates[-1, 1]) + self.clip_ps) if len(self.gates) else None)
+        self.carry = _no_events()
+        self.last = None
+        self.counts = dict.fromkeys(("in", "kept", "dark", "clipped", "dead", "out"), 0)
+
+
+def detect(batch: np.ndarray, detector: Detector, block=slice(None), cut=None) -> np.ndarray:
+    """Run one block of a species' sorted int64 ps emission times through
+    a detector and return the block's tags, sorted.
 
     Events are thinned by quantum efficiency, smeared by Gaussian jitter
-    truncated at +-5 sigma, mixed with dark counts over the gated spans
-    (over the events' own span when there are no gates), clipped to
-    [first gate - 5 sigma, last gate end + 5 sigma] and pruned by dead
-    time. The efficiency draws come first, then the jitter, each over the
-    sorted input, then the dark counts: one Poisson count per span, then
-    one uniform per count.
+    truncated at +-5 sigma and mixed with the dark counts of the gates in
+    ``block``. Tags at or past ``cut`` (ps) are held back for the next
+    block; the rest are clipped to [first gate - 5 sigma, last gate end +
+    5 sigma] and pruned by dead time. Blocks are taken in order, and every
+    later input must be at least ``cut`` + 5 sigma; the default runs the
+    whole input in one call.
     """
     check_order(batch)
-    rng = np.random.default_rng(_seed_sequence(seed))
-    gates = check_gates(gates)
-    spans = gates
-    if not len(gates) and len(batch):
-        spans = np.array([[batch[0], batch[-1]]])
-    span_lo, span_hi = (int(spans[0, 0]), int(spans[-1, 1])) if len(spans) else (0, 0)
-
-    sigma_ps = det.jitter_sigma * PS_PER_NS
+    det, counts = detector.config, detector.counts
+    counts["in"] += len(batch)
+    if counts["in"] > detector.n_in:
+        # Past n_in, the efficiency draws would reuse the jitter's.
+        raise ValidationError(f"detector fed more than its {detector.n_in} events",
+                              field="batch")
     times = batch
     if det.quantum_efficiency < 1.0 and len(times):
-        times = times[rng.random(len(times)) < det.quantum_efficiency]
+        times = times[detector.rng.random(len(times)) < det.quantum_efficiency]
+    counts["kept"] += len(times)
+    sigma_ps = detector.sigma_ps
     if sigma_ps > 0 and len(times):
-        jitter = rng.standard_normal(len(times)) * sigma_ps
+        jitter = detector.jitter.standard_normal(len(times)) * sigma_ps
         np.clip(jitter, -5.0 * sigma_ps, 5.0 * sigma_ps, out=jitter)
         times = times + jitter.astype(np.int64)
-    if det.dark_rate > 0 and len(spans):
-        times = np.concatenate([times, _gated_poisson(det.dark_rate, spans, rng)])
-    times = np.sort(times, kind="stable")
-    clip = int(5 * sigma_ps)
-    times = times[np.searchsorted(times, span_lo - clip):
-                  np.searchsorted(times, span_hi + clip, side="right")]
+    parts = [detector.carry, times]
+    if det.dark_rate > 0:
+        parts.append(_place(detector.gates[block], detector.dark_counts[block],
+                            detector.dark))
+        counts["dark"] += len(parts[-1])
+    times = np.concatenate(parts)
+    times.sort(kind="stable")
+    times, detector.carry = _held_back(times, cut)
+    if detector.bounds is not None:
+        lo, hi = detector.bounds
+        n = len(times)
+        times = times[np.searchsorted(times, lo):np.searchsorted(times, hi, side="right")]
+        counts["clipped"] += n - len(times)
     if det.dead_time > 0 and len(times):
-        times = times[_dead_time_filter(times, int(det.dead_time * PS_PER_NS))]
-    return TagStream(channels=np.full(len(times), channel, np.uint8),
-                     timestamps=times, header=header or StreamHeader(), gates=gates)
+        head = np.array([] if detector.last is None else [detector.last], np.int64)
+        times = np.concatenate([head, times])
+        keep = _dead_time_filter(times, int(det.dead_time * PS_PER_NS))
+        keep[:len(head)] = False  # kept already, by an earlier block
+        counts["dead"] += len(times) - len(head) - int(keep.sum())
+        times = times[keep]
+        if len(times):
+            detector.last = int(times[-1])
+    counts["out"] += len(times)
+    return times
 
 
 def split_hbt(stream: TagStream, source_channel: int, out_channels, seed) -> TagStream:

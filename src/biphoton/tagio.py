@@ -133,11 +133,14 @@ def _encode_records(channels, timestamps, after=None) -> bytes:
     return words.tobytes()
 
 
-def _encode_gate_table(gates: np.ndarray) -> bytes:
-    """The gate table for checked gates, or nothing when there are none."""
+def _gate_table_parts(gates: np.ndarray):
+    """The gate table of checked gates as its count's bytes and its
+    windows' buffer, or nothing when there are none. A checked bound is
+    non-negative, so its int64 bytes are its uint64 bytes, and on a
+    little-endian machine the buffer is ``gates`` itself, not a copy."""
     if not len(gates):
-        return b""
-    return struct.pack("<I", len(gates)) + gates.astype("<u8").tobytes()
+        return []
+    return [struct.pack("<I", len(gates)), np.ascontiguousarray(gates, "<i8")]
 
 
 def write_stream(stream: TagStream, sink) -> int:
@@ -160,17 +163,18 @@ class StreamWriter:
     def __init__(self, sink, header=None, gates=None):
         self.header = header or StreamHeader()
         self.gates = check_gates(gates)
-        table = _encode_gate_table(self.gates)
-        self._head = _pack_header(self.header, HEADER_SIZE if table else 0) + table
+        table = _gate_table_parts(self.gates)
+        self._head = [_pack_header(self.header, HEADER_SIZE if table else 0), *table]
         self._sink = sink
         self._fh = None
         self._last_ts = None
-        self.bytes_written = HEADER_SIZE + len(table)
+        self.bytes_written = sum(memoryview(part).nbytes for part in self._head)
 
     def _open(self):
         if self._fh is None:
             self._fh = self._sink if hasattr(self._sink, "write") else open(self._sink, "wb")
-            self._fh.write(self._head)
+            for part in self._head:
+                self._fh.write(part)
         return self._fh
 
     def write(self, channels, timestamps):
@@ -324,12 +328,21 @@ def total_gate_time_ps(gates) -> int:
     return int((gates[:, 1] - gates[:, 0]).sum())
 
 
+def merge_records(channels, timestamps):
+    """Channels and timestamps of several sorted runs of records, given as
+    lists of per-run arrays, merged by time; at equal times the earlier
+    run comes first."""
+    channels = np.concatenate(channels)
+    timestamps = np.concatenate(timestamps)
+    order = np.argsort(timestamps, kind="stable")
+    return channels[order], timestamps[order]
+
+
 def merge_streams(*streams: TagStream) -> TagStream:
     """Deterministic sorted merge of streams sharing one epoch."""
     if not streams:
         raise ValidationError("need at least one stream")
-    channels = np.concatenate([s.channels for s in streams])
-    timestamps = np.concatenate([s.timestamps for s in streams])
-    order = np.argsort(timestamps, kind="stable")
-    return TagStream(channels=channels[order], timestamps=timestamps[order],
+    channels, timestamps = merge_records([s.channels for s in streams],
+                                         [s.timestamps for s in streams])
+    return TagStream(channels=channels, timestamps=timestamps,
                      header=streams[0].header, gates=streams[0].gates)

@@ -23,7 +23,8 @@ from biphoton.pipeline import simulate_experiment
 from biphoton.sequence import (DutyCycleSpec, HardwareProfile, SequenceProgram,
                                Slot, compile_duty_cycle, emit_gates)
 from biphoton.simulate import SourceConfig, generate_chaotic, split_hbt
-from biphoton.tagio import StreamHeader, StreamReader, TagStream, write_stream
+from biphoton.tagio import (StreamHeader, StreamReader, TagStream, read_stream,
+                            write_stream)
 
 
 def check(name, ok, detail):
@@ -58,14 +59,16 @@ REFERENCE_CONDITIONS = {
 
 
 @pytest.fixture(scope="module")
-def reference_run():
+def reference_run(tmp_path_factory):
+    path = tmp_path_factory.mktemp("reference") / "run.tags"
     start = time.perf_counter()
-    result = simulate_experiment(config_from_dict(REFERENCE_CONDITIONS))
-    hist = cross_correlate(result.stream, HistogramConfig())
+    manifest = simulate_experiment(config_from_dict(REFERENCE_CONDITIONS), path)
+    with StreamReader(path) as reader:
+        hist = cross_correlate(reader, HistogramConfig())
     fit_result, acc = fit_histogram(hist, ModelKind.CROSS_CONVOLVED)
     elapsed = time.perf_counter() - start
     return {"hist": hist, "fit": fit_result, "acc": acc, "elapsed": elapsed,
-            "live_time_s": result.live_time_s}
+            "live_time_s": manifest["live_time_s"]}
 
 
 def test_criterion_01_heralded_coherence_recovery(reference_run):
@@ -131,7 +134,7 @@ def _auto_zero_g2(stream, source_channel, out_channels, seed):
     return max(float(hist.counts[zero]) / acc.g_acc, 1.0)
 
 
-def test_criterion_04_cauchy_schwarz():
+def test_criterion_04_cauchy_schwarz(tmp_path):
     # (a) reference fitted inputs.
     rep = cauchy_schwarz(1270.0, 1.77, 1.63)
     ok_a = (abs(rep.ratio - 5.59e5) / 5.59e5 < 0.005
@@ -139,14 +142,17 @@ def test_criterion_04_cauchy_schwarz():
             and not rep.classical)
 
     # (b) full simulated pipeline: pairs plus chaotic singles on both arms.
-    result = simulate_experiment(config_from_dict(CHAOTIC_PIPELINE))
-    hist = cross_correlate(result.stream, HistogramConfig())
+    path = tmp_path / "chaotic.tags"
+    simulate_experiment(config_from_dict(CHAOTIC_PIPELINE), path)
+    with StreamReader(path) as reader:
+        hist = cross_correlate(reader, HistogramConfig())
     cross_fit, _ = fit_histogram(hist, ModelKind.CROSS_CONVOLVED)
     grid = np.linspace(-20, 60, 8001)
     g2_si = float(np.max(model_eval(ModelKind.CROSS_CONVOLVED,
                                     cross_fit.params, grid)))
-    g2_ss = _auto_zero_g2(result.stream, 0, (2, 3), seed=101)
-    g2_ii = _auto_zero_g2(result.stream, 1, (4, 5), seed=102)
+    stream = read_stream(path)  # the HBT split needs the stream in memory
+    g2_ss = _auto_zero_g2(stream, 0, (2, 3), seed=101)
+    g2_ii = _auto_zero_g2(stream, 1, (4, 5), seed=102)
     pipeline = cauchy_schwarz(g2_si, g2_ss, g2_ii)
     ok_b = pipeline.ratio > 1e4 and not pipeline.classical
 

@@ -1,18 +1,20 @@
 import hashlib
 import io
+import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from biphoton import simulate
+from biphoton import pipeline, simulate
 from biphoton.config import ExperimentConfig, config_from_dict
 from biphoton.correlate import HistogramConfig, cross_correlate
 from biphoton.errors import ValidationError
 from biphoton.pipeline import simulate_experiment, write_manifest
-from biphoton.simulate import (DetectorConfig, SourceConfig, detect,
-                               generate_chaotic, generate_chaotic_gated,
+from biphoton.simulate import (Detector, DetectorConfig, PairSource, SourceConfig,
+                               detect, generate_chaotic, generate_chaotic_gated,
                                generate_pairs, split_hbt)
-from biphoton.tagio import StreamHeader, TagStream, write_stream
+from biphoton.tagio import StreamHeader, TagStream, read_stream
 
 from oracles import chaotic_on_grid, dead_time_mask
 
@@ -23,6 +25,16 @@ IDENTITY = DetectorConfig()
 
 def one_gate(width_us):
     return [(0, int(width_us * 1_000_000))]
+
+
+def pairs_of(src, gates, seed):
+    """A whole run's pair emission, in one block."""
+    return generate_pairs(PairSource(src, gates, seed))
+
+
+def detect_all(batch, det, seed, gates=None):
+    """A whole input's tags from one detector, in one block."""
+    return detect(batch, Detector(det, len(batch), seed, gates))
 
 
 def positive_lag_g2(times_ps, duration_ns, bin_ns, max_ns):
@@ -40,17 +52,17 @@ def positive_lag_g2(times_ps, duration_ns, bin_ns, max_ns):
 
 class TestPairGeneration:
     def test_zero_rate_is_empty(self):
-        batch = generate_pairs(SourceConfig(pair_rate=0.0), one_gate(200), 1)
+        batch = pairs_of(SourceConfig(pair_rate=0.0), one_gate(200), 1)
         assert len(batch) == 0
 
     def test_no_gates_is_empty(self):
-        batch = generate_pairs(SourceConfig(pair_rate=1e5), [], 1)
+        batch = pairs_of(SourceConfig(pair_rate=1e5), [], 1)
         assert len(batch) == 0
 
     def test_pair_count_is_poisson(self):
         gates = [(i * 1_000_000_000, i * 1_000_000_000 + 200_000_000)
                  for i in range(1000)]
-        pairs = generate_pairs(SourceConfig(pair_rate=1e5), gates, seed=3)
+        pairs = pairs_of(SourceConfig(pair_rate=1e5), gates, seed=3)
         n_pairs = len(pairs.signal_ps)
         expected = 1e5 * 200e-6 * 1000  # 20_000
         assert abs(n_pairs - expected) < 4 * np.sqrt(expected)
@@ -59,7 +71,7 @@ class TestPairGeneration:
 
     def test_idler_delay_is_exponential_with_tau_c_mean(self):
         src = SourceConfig(pair_rate=2e5, tau_c=4.4)
-        pairs = generate_pairs(src, one_gate(50_000), seed=5)
+        pairs = pairs_of(src, one_gate(50_000), seed=5)
         # Sorting changes neither sum, so the mean delay survives it.
         delays_ns = (pairs.idler_ps - pairs.signal_ps) / PS
         n = len(delays_ns)
@@ -68,7 +80,7 @@ class TestPairGeneration:
         assert abs(delays_ns.mean() - 4.4) < 4 * 4.4 / np.sqrt(n)
 
     def test_events_are_time_sorted_with_idlers_after_signals(self):
-        pairs = generate_pairs(SourceConfig(pair_rate=1e5), one_gate(5000), 7)
+        pairs = pairs_of(SourceConfig(pair_rate=1e5), one_gate(5000), 7)
         assert len(pairs.signal_ps) > 0
         assert np.all(np.diff(pairs.signal_ps) >= 0)
         assert np.all(np.diff(pairs.idler_ps) >= 0)
@@ -80,7 +92,7 @@ class TestPairGeneration:
     def test_unsorted_gates_rejected(self):
         gates = [(100, 200), (50, 90)]
         with pytest.raises(ValidationError):
-            generate_pairs(SourceConfig(pair_rate=1.0), gates, 1)
+            pairs_of(SourceConfig(pair_rate=1.0), gates, 1)
 
 
 class TestChaoticGeneration:
@@ -237,29 +249,25 @@ class TestDetector:
 
     def test_identity_detector_passes_everything_through(self):
         batch = self.batch([10, 20, 35, 90])
-        stream = detect(batch, IDENTITY, 0, seed=1)
-        assert np.array_equal(stream.timestamps, batch)
-        assert np.all(stream.channels == 0)
+        assert np.array_equal(detect_all(batch, IDENTITY, seed=1), batch)
 
     def test_quantum_efficiency_thins_binomially(self):
         n = 40_000
         batch = self.batch(np.arange(n) * 100.0)
         det = DetectorConfig(quantum_efficiency=0.5)
-        stream = detect(batch, det, 0, seed=3)
+        tags = detect_all(batch, det, seed=3)
         sigma = np.sqrt(n * 0.25)
-        assert abs(len(stream) - n / 2) < 4 * sigma
+        assert abs(len(tags) - n / 2) < 4 * sigma
 
     def test_jitter_widens_pair_delays_to_tau_d(self):
         # Nearly coincident pairs at sparse spacing: the detected
         # signal-idler delay spread is the two jitters in quadrature.
         sigma_det = 0.61 / np.sqrt(2)
         src = SourceConfig(pair_rate=1e6, tau_c=1e-3)
-        pairs = generate_pairs(src, one_gate(10_000), seed=9)
+        pairs = pairs_of(src, one_gate(10_000), seed=9)
         det = DetectorConfig(jitter_sigma=sigma_det)
-        t_s = detect(pairs.signal_ps, det, 0, seed=10,
-                     gates=one_gate(10_000)).timestamps
-        t_i = detect(pairs.idler_ps, det, 1, seed=11,
-                     gates=one_gate(10_000)).timestamps
+        t_s = detect_all(pairs.signal_ps, det, seed=10, gates=one_gate(10_000))
+        t_i = detect_all(pairs.idler_ps, det, seed=11, gates=one_gate(10_000))
         assert len(t_s) == len(t_i)
         delays_ns = (t_i - t_s) / PS  # spacing ~1 us >> jitter keeps order
         n = len(delays_ns)
@@ -269,19 +277,18 @@ class TestDetector:
     def test_dark_counts_fill_gated_span(self):
         det = DetectorConfig(dark_rate=1e6)
         gates = one_gate(10_000)  # 10 ms
-        stream = detect(np.zeros(0, np.int64), det, 0, seed=5, gates=gates)
+        tags = detect_all(np.zeros(0, np.int64), det, seed=5, gates=gates)
         expected = 1e6 * 10e-3
-        assert abs(len(stream) - expected) < 4 * np.sqrt(expected)
-        assert stream.timestamps.min() >= 0
-        assert stream.timestamps.max() <= gates[0][1]
+        assert abs(len(tags) - expected) < 4 * np.sqrt(expected)
+        assert tags.min() >= 0
+        assert tags.max() <= gates[0][1]
 
     def test_dark_counts_are_poisson_in_every_gate(self):
         rate, width_ps, period_ps, n_gates = 2e6, 50_000_000, 200_000_000, 2000
         gates = np.array([(i * period_ps, i * period_ps + width_ps)
                           for i in range(n_gates)])
-        stream = detect(np.zeros(0, np.int64), DetectorConfig(dark_rate=rate), 0,
-                        seed=12, gates=gates)
-        t = stream.timestamps
+        t = detect_all(np.zeros(0, np.int64), DetectorConfig(dark_rate=rate),
+                       seed=12, gates=gates)
         gate = np.searchsorted(gates[:, 0], t, side="right") - 1
         assert np.all(gate >= 0)
         assert np.all(t < gates[gate, 1])
@@ -299,8 +306,7 @@ class TestDetector:
     def test_dead_time_drops_close_followers(self):
         batch = self.batch([0.0, 0.5, 5.0, 5.8, 9.0])
         det = DetectorConfig(dead_time=1.0)
-        stream = detect(batch, det, 0, seed=1)
-        assert stream.timestamps.tolist() == [0, 5000, 9000]
+        assert detect_all(batch, det, seed=1).tolist() == [0, 5000, 9000]
 
     def test_dead_time_mask_matches_per_tag_walk(self):
         rng = np.random.default_rng(8)
@@ -312,9 +318,15 @@ class TestDetector:
             assert np.array_equal(simulate._dead_time_filter(times, dead_ps),
                                   dead_time_mask(times, dead_ps))
 
+    def test_more_events_than_sized_for_rejected(self):
+        detector = Detector(DetectorConfig(quantum_efficiency=0.5), 3, seed=1)
+        detect(self.batch([1, 2]), detector)
+        with pytest.raises(ValidationError):
+            detect(self.batch([3, 4]), detector)
+
     def test_unsorted_batch_rejected(self):
         with pytest.raises(ValidationError):
-            detect(np.array([100, 50], np.int64), IDENTITY, 0, seed=1)
+            detect_all(np.array([100, 50], np.int64), IDENTITY, seed=1)
 
 
 class TestSplitHbt:
@@ -346,26 +358,30 @@ class TestPipeline:
     }
 
     def run(self, overrides=None):
+        """The run's manifest and its stream, read back."""
         data = {**self.CONFIG, **(overrides or {})}
-        config = config_from_dict(data)
-        return simulate_experiment(config, config_hash="abc")
+        buf = io.BytesIO()
+        manifest = simulate_experiment(config_from_dict(data), buf, config_hash="abc")
+        buf.seek(0)
+        return manifest, read_stream(buf)
 
     def test_live_time_and_gate_count(self):
-        result = self.run()
-        assert result.n_gates == 50
-        assert result.live_time_s == pytest.approx(50 * 200e-6)
+        manifest, stream = self.run()
+        assert manifest["n_gates"] == 50
+        assert manifest["live_time_s"] == pytest.approx(50 * 200e-6)
+        assert stream.header.acquisition_seconds == manifest["live_time_s"]
+        assert len(stream.gates) == 50
 
     def test_manifest_records_run_facts(self):
-        result = self.run()
-        m = result.manifest
+        m, stream = self.run()
         assert m["seed"] == 42
         assert m["config_sha256"] == "abc"
-        assert m["n_tags"] == len(result.stream)
+        assert m["n_tags"] == len(stream)
         assert m["n_gates"] == 50
         assert m["channels"] == {"signal": 0, "idler": 1}
 
     def test_both_channels_populated_and_sorted(self):
-        stream = self.run().stream
+        _, stream = self.run()
         assert np.all(np.diff(stream.timestamps) >= 0)
         assert (stream.channels == 0).sum() > 0
         assert (stream.channels == 1).sum() > 0
@@ -374,17 +390,16 @@ class TestPipeline:
         bufs = []
         for _ in range(2):
             buf = io.BytesIO()
-            write_stream(self.run().stream, sink=buf)
+            simulate_experiment(config_from_dict(self.CONFIG), buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
         other = io.BytesIO()
-        write_stream(self.run({"seed": 43}).stream, sink=other)
+        simulate_experiment(config_from_dict({**self.CONFIG, "seed": 43}), other)
         assert other.getvalue() != bufs[0]
 
     def test_singles_rate_tracks_config(self):
-        result = self.run()
-        stream = result.stream
-        t = result.live_time_s
+        manifest, stream = self.run()
+        t = manifest["live_time_s"]
         # Pairs at 5e4 * qe 0.6 plus chaotic floor 2e4 * 0.6 per channel.
         expected = (5e4 + 2e4) * 0.6 * t
         for ch in (0, 1):
@@ -394,17 +409,20 @@ class TestPipeline:
     def test_signal_tag_comes_first_at_equal_times(self):
         # Ideal detectors and a 1 ps coherence time: most idlers land on
         # their signal's picosecond.
-        result = self.run({"source": {"pair_rate": 5e4, "tau_c": 1e-3},
-                           "signal_detector": {}, "idler_detector": {}})
-        ts, ch = result.stream.timestamps, result.stream.channels
+        _, stream = self.run({"source": {"pair_rate": 5e4, "tau_c": 1e-3},
+                              "signal_detector": {}, "idler_detector": {}})
+        ts, ch = stream.timestamps, stream.channels
         tie = np.flatnonzero(ts[1:] == ts[:-1])
         assert len(tie) > 100
         assert np.all(ch[tie] <= ch[tie + 1])
 
     def test_default_config_runs_empty(self):
-        result = simulate_experiment(ExperimentConfig())
-        assert len(result.stream) == 0
-        assert result.n_gates == 1
+        buf = io.BytesIO()
+        manifest = simulate_experiment(ExperimentConfig(), buf)
+        buf.seek(0)
+        assert len(read_stream(buf)) == 0
+        assert manifest["n_tags"] == 0
+        assert manifest["n_gates"] == 1
 
 
 class TestPipelineGolden:
@@ -456,11 +474,111 @@ class TestPipelineGolden:
     ], ids=["reference", "chaotic", "dead_time"])
     def test_matches_golden_digest(self, tmp_path, config, n_tags, stream_sha,
                                    manifest_sha):
-        result = simulate_experiment(config_from_dict(config), config_hash="golden")
         buf = io.BytesIO()
-        write_stream(result.stream, sink=buf)
-        write_manifest(result.manifest, tmp_path / "manifest.json")
+        result = simulate_experiment(config_from_dict(config), buf, config_hash="golden")
+        write_manifest(result, tmp_path / "manifest.json")
         manifest = (tmp_path / "manifest.json").read_bytes()
-        assert len(result.stream) == n_tags
+        assert result["n_tags"] == n_tags
         assert hashlib.sha256(buf.getvalue()).hexdigest() == stream_sha
         assert hashlib.sha256(manifest).hexdigest() == manifest_sha
+
+
+class TestBlocks:
+    """``simulate_experiment`` runs in blocks of whole gates; where they
+    are cut must not show in the output, and memory must not grow with
+    the tag count."""
+
+    DARK_DEAD = {  # dark counts and 50 ns dead time on both detectors
+        **TestPipelineGolden.REFERENCE,
+        "signal_detector": {**TestPipelineGolden.DETECTORS["signal_detector"],
+                            "dark_rate": 2e4, "dead_time": 50.0},
+        "idler_detector": {**TestPipelineGolden.DETECTORS["idler_detector"],
+                           "dark_rate": 5e4, "dead_time": 50.0},
+    }
+    CARRIES = {
+        # 100 us idler delays over 20 us between 40 us gates, and jitter
+        # and dead times of microseconds: every kind of carry across a
+        # block's cut happens many times.
+        "seed": 3,
+        "source": {"pair_rate": 1e6, "tau_c": 1e5},
+        "signal_detector": {"quantum_efficiency": 0.7, "jitter_sigma": 1000.0,
+                            "dead_time": 2000.0},
+        "idler_detector": {"jitter_sigma": 0.3, "dead_time": 500.0},
+        "duty_cycle": {"load_duration_us": 20, "fwm_duration_us": 40,
+                       "cycles": 300},
+    }
+
+    @staticmethod
+    def outputs(config, tmp_path):
+        buf = io.BytesIO()
+        manifest = simulate_experiment(config_from_dict(config), buf, config_hash="b")
+        write_manifest(manifest, tmp_path / "manifest.json")
+        return buf.getvalue(), (tmp_path / "manifest.json").read_bytes()
+
+    @pytest.mark.parametrize("config", [
+        TestPipelineGolden.REFERENCE, TestPipelineGolden.CHAOTIC,
+        TestPipelineGolden.DEAD_TIME, DARK_DEAD, CARRIES,
+    ], ids=["reference", "chaotic", "dead_time", "dark_dead", "carries"])
+    def test_output_does_not_depend_on_block_size(self, monkeypatch, tmp_path, config):
+        default = self.outputs(config, tmp_path)
+        # One gate per block, a prime number of events, the whole run.
+        for block_tags in (1, 997, 1 << 62):
+            monkeypatch.setattr(pipeline, "_BLOCK_TAGS", block_tags)
+            assert self.outputs(config, tmp_path) == default, block_tags
+
+    def test_pair_blocks_reassemble_the_whole_emission(self):
+        # One gate per block, each cut at the next gate's start: 100 us
+        # idler delays carry most idlers across one or more cuts.
+        gates = np.array([(i * 60_000_000, i * 60_000_000 + 40_000_000)
+                          for i in range(300)])
+        src = SourceConfig(pair_rate=2e5, tau_c=1e5)
+        source = PairSource(src, gates, seed=3)
+        blocks, carried = [], []
+        for g in range(len(gates)):
+            cut = int(gates[g + 1, 0]) if g + 1 < len(gates) else None
+            blocks.append(generate_pairs(source, slice(g, g + 1), cut))
+            carried.append(len(source.carry))
+        assert np.mean(carried) > 5
+        whole = pairs_of(src, gates, seed=3)
+        for species in ("signal_ps", "idler_ps"):
+            assert np.array_equal(np.concatenate([getattr(b, species) for b in blocks]),
+                                  getattr(whole, species))
+
+    def test_memory_does_not_grow_with_the_tag_count(self, tmp_path):
+        # The same 2000 gates at 4x the pair rate: about 490 k tags
+        # against 122 k. A run that held all its tags grew by about 45
+        # bytes per tag, 17 MB; one that holds a block at a time does not.
+        peaks = []
+        for rate in (1e6, 2.5e5):
+            config = {**TestPipelineGolden.REFERENCE,
+                      "source": {"pair_rate": rate, "tau_c": 4.4}}
+            tracemalloc.start()
+            manifest = simulate_experiment(config_from_dict(config), tmp_path / "run.tags")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert manifest["n_tags"] > 100_000
+        assert peaks[0] - peaks[1] < 2 * 1024 * 1024
+
+    def test_loss_budget_adds_up_to_the_tags_written(self, caplog):
+        config = {**self.DARK_DEAD, "source": {**TestPipelineGolden.CHAOTIC["source"]},
+                  "duty_cycle": {"load_duration_us": 500, "fwm_duration_us": 200,
+                                 "cycles": 20}}
+        with caplog.at_level(logging.DEBUG, logger="biphoton"):
+            manifest = simulate_experiment(config_from_dict(config), io.BytesIO())
+        stages = {}
+        for record in caplog.records:
+            stage, _, fields = record.getMessage().partition(": ")
+            stages[stage] = {k: float(v) for k, v in
+                             (field.split("=") for field in fields.split())}
+        emitted = stages["simulate pairs"]["emitted"]
+        chaotic = stages["simulate chaotic"]
+        out = 0
+        for species in ("signal", "idler"):
+            det = stages[f"simulate detect {species}"]
+            assert det["in"] == emitted + chaotic[species] > 0
+            assert 0 < det["kept"] < det["in"]
+            assert det["dark"] > 0 and det["dead"] > 0 and det["wall_s"] >= 0
+            assert det["out"] == det["kept"] + det["dark"] - det["clipped"] - det["dead"]
+            out += det["out"]
+        assert stages["simulate write"]["tags"] == out == manifest["n_tags"]
+        assert manifest["n_pairs_emitted"] == emitted
