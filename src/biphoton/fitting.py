@@ -3,13 +3,13 @@ solver, plus the three measurement models: jitter-convolved
 cross-correlation, jitter-convolved symmetric auto-correlation, and the
 Lorentzian absorption profile.
 
-The convolved models use the exponential (x) Gaussian closed form derived
-from scratch; they are validated against direct numerical quadrature of
-the convolution integral in the test suite. Evaluation is overflow-free
-through the scaled complementary error function ``erfcx``, computed here
-from a Chebyshev expansion. Each model has a closed-form Jacobian, which
-the solver uses instead of finite differences. The module needs numpy
-alone; the test suite checks the solver and ``erfcx`` against SciPy.
+The convolved models use the exponential (x) Gaussian closed form f and
+its integral F = tau (Phi - f), so a histogram bin's mean is the exact
+(F(hi) - F(lo)) / w; one call of the scaled complementary error function
+``erfcx``, computed here from a Chebyshev expansion, gives both without
+overflow. Each model has a closed-form Jacobian, which the solver uses
+instead of finite differences. The module needs numpy alone; the tests
+check it against SciPy, quadrature and a 20-digit mpmath integral.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ DEFAULT_FIXED = {
 # which maps z in [0, inf] onto u in [-1, 1]. Generated with mpmath 1.3.0 at
 # 50 digits: c_k = (2/N) sum_j f(u_j) cos(k theta_j) over the N = 120 nodes
 # u_j = cos(theta_j), theta_j = pi (j + 1/2) / N, then rounded to double
-# and cut after c_22; the omitted terms sum to less than 1e-14.
+# and cut after c_24; the omitted terms sum to less than 3e-16. Bin means
+# difference erfcx at nearby points, which magnifies the slope of its error.
 _ERFCX_CHEB = (
     -1.3026537197817094, 0.6419697923564902, 0.019476473204185836,
     -0.009561514786808632, -0.0009465953444820369, 0.00036683949785276145,
@@ -61,13 +62,14 @@ _ERFCX_CHEB = (
     6.5290544390988515e-09, 5.059343495551469e-09, -9.91364156493033e-10,
     -2.273651222931836e-10, 9.646791102015527e-11, 2.3940380830391146e-12,
     -6.886027526497553e-12, 8.944879273090725e-13, 3.130921399342958e-13,
-    -1.1270822361367252e-13, 3.810905255189232e-16,
+    -1.1270822361367252e-13, 3.810905255189232e-16, 7.106097613609237e-15,
+    -1.5230282014571043e-15,
 )
 
 
 def erfcx(z):
     """Scaled complementary error function exp(z^2) erfc(z) for z >= 0,
-    within about 1e-14 relative, by Clenshaw summation of ``_ERFCX_CHEB``."""
+    within 2e-15 relative, by Clenshaw summation of ``_ERFCX_CHEB``."""
     z = np.asarray(z, dtype=float)
     t = 2.0 / (2.0 + z)
     two_u = 4.0 * t - 2.0
@@ -93,18 +95,35 @@ def erfcx(z):
 def exp_gauss(t, tau, sigma):
     """Convolution of exp(-t/tau) * step(t) with a unit-area Gaussian of
     width sigma. Peak value is 1 in the sigma -> 0 limit."""
+    return _exp_gauss_parts(t, tau, sigma, integral=False)[0]
+
+
+def _exp_gauss_parts(t, tau, sigma, integral=True):
+    """``exp_gauss`` f at points t, its integral from -inf F = tau (Phi(u) -
+    f) and the unit Gaussian g = phi(u), u = t/sigma, Phi being phi's CDF.
+    One ``erfcx`` call serves f and Phi(-|u|) = e^(-u^2/2) erfcx(|u|/sqrt 2)
+    / 2; without ``integral``, F may come back None, from a call half as
+    long. At sigma = 0, F is tau (1 - e^(-t/tau)) for t >= 0 and g is 0."""
     t = np.asarray(t, dtype=float)
     if sigma == 0:
-        return np.where(t >= 0, np.exp(-np.clip(t, 0, None) / tau), 0.0)
+        # -0.0, the mirror image of 0, falls left of the step, so that the
+        # auto bump f(x) + f(-x) is 1 at x = 0.
+        decay = -np.clip(t, 0, None) / tau
+        return (np.where(np.signbit(t), 0.0, np.exp(decay)), -tau * np.expm1(decay),
+                np.zeros_like(t))
     z = (sigma * sigma - t * tau) / (math.sqrt(2.0) * sigma * tau)
-    # With a = sigma^2/(2 tau^2) - t/tau, the result is e^a erfc(z) / 2, and
-    # e^a erfc(|z|) = e^(-t^2/(2 sigma^2)) erfcx(|z|) never overflows. For
-    # z < 0, erfc(z) = 2 - erfc(|z|), and a < 0 there.
-    out = erfcx(np.abs(z))
-    out *= 0.5 * np.exp(-t * t / (2 * sigma * sigma))
     neg = z < 0
-    out[neg] = np.exp(sigma * sigma / (2 * tau * tau) - t[neg] / tau) - out[neg]
-    return out
+    # With a = sigma^2/(2 tau^2) - t/tau, f = e^a erfc(z) / 2, and
+    # e^a erfc(|z|) = e^(-u^2/2) erfcx(|z|) never overflows. For z < 0,
+    # erfc(z) = 2 - erfc(|z|), and a < 0 there.
+    args = np.stack([z, t / (math.sqrt(2.0) * sigma)]) if integral else z[np.newaxis]
+    scaled = erfcx(np.abs(args, out=args))
+    gauss = np.exp(-t * t / (2.0 * sigma * sigma))
+    scaled *= 0.5 * gauss
+    f, *tail = scaled
+    f[neg] = np.exp(0.5 * (sigma / tau) ** 2 - t[neg] / tau) - f[neg]
+    F = tau * (np.where(t > 0, 1.0 - tail[0], tail[0]) - f) if integral else None
+    return f, F, gauss / math.sqrt(2.0 * math.pi)
 
 
 def model_eval(kind: ModelKind, params, x):
@@ -119,115 +138,77 @@ def model_eval(kind: ModelKind, params, x):
     ABSORPTION_OD (x = detuning in MHz): transmission
     exp(-od * gamma^2 / (gamma^2 + 4 (x - center)^2)).
     """
-    params = np.asarray(params, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if kind is ModelKind.CROSS_CONVOLVED:
-        amplitude, tau_c, tau_d, baseline = params
-        _require_positive(tau_c=tau_c)
-        _require_nonnegative(tau_d=tau_d)
-        return baseline + amplitude * exp_gauss(x, tau_c, tau_d)
-    if kind is ModelKind.AUTO_CONVOLVED:
-        g0, tau_c, tau_d, baseline = params
-        _require_positive(tau_c=tau_c)
-        _require_nonnegative(tau_d=tau_d)
-        half = tau_c / 2.0
-        if tau_d == 0:
-            bump = np.exp(-2.0 * np.abs(x) / tau_c)
-        else:
-            bump = exp_gauss(x, half, tau_d) + exp_gauss(-x, half, tau_d)
-        return baseline + g0 * bump
-    if kind is ModelKind.ABSORPTION_OD:
-        od, gamma, center = params
-        _require_nonnegative(od=od)
-        _require_positive(gamma=gamma)
-        d = x - center
-        return np.exp(-od * gamma * gamma / (gamma * gamma + 4.0 * d * d))
-    raise ValidationError(f"unknown model kind {kind}", field="kind")
+    return _model(kind, params, x, 0.0, False)
 
 
-def exp_gauss_grad(t, tau, sigma):
-    """``exp_gauss`` f with df/dtau and df/dsigma. With g the unit Gaussian
-    exp(-t^2/(2 sigma^2))/sqrt(2 pi), df/dtau = (f (t - sigma^2/tau) +
-    g sigma)/tau^2 and df/dsigma = f sigma/tau^2 - g (1/tau + t/sigma^2);
-    at sigma = 0, g and df/dsigma are taken as 0."""
-    t = np.asarray(t, dtype=float)
-    f = exp_gauss(t, tau, sigma)
-    if sigma == 0:
-        return f, f * t / tau**2, np.zeros_like(f)
-    g = np.exp(-t * t / (2 * sigma * sigma)) / math.sqrt(2.0 * math.pi)
-    return (f, (f * (t - sigma * sigma / tau) + g * sigma) / tau**2,
-            f * sigma / tau**2 - g * (1.0 / tau + t / sigma**2))
+def model_eval_binned(kind: ModelKind, params, centers, bin_width):
+    """Mean of a convolved model over each bin of ``bin_width`` centred on
+    ``centers``, which is what a histogram holds; ``bin_width`` <= 0 gives
+    ``model_eval``. The absorption model has no bin means.
+
+    A bin's mean is (F(hi) - F(lo)) / w with F the integral of
+    ``exp_gauss``, exact but for rounding: F is rounded to about eps tau_c,
+    so on the unit peak a mean is within 2 eps tau_c / w, which is below
+    1e-12 for bins wider than tau_c / 2000.
+    """
+    return _model(kind, params, centers, bin_width, False)
 
 
 def model_jacobian(kind: ModelKind, params, x, bin_width: float = 0.0):
     """Derivatives of ``model_eval_binned`` in each parameter, on a last
     axis after the shape of ``x``."""
-    if bin_width > 0:
-        return _bin_average(lambda nodes: model_jacobian(kind, params, nodes),
-                            x, bin_width)
+    return _model(kind, params, x, bin_width, True)
+
+
+def _model(kind, params, x, bin_width, jacobian):
     params = np.asarray(params, dtype=float)
     x = np.asarray(x, dtype=float)
+    if not _in_domain(kind, params):
+        raise ValidationError(f"parameters outside the domain of model {kind}", field="params")
     if kind is ModelKind.ABSORPTION_OD:
+        if bin_width > 0:
+            raise ValidationError("the absorption model has no bin means", field="bin_width")
         od, gamma, center = params
         d = x - center
         denom = gamma * gamma + 4.0 * d * d
         transmission = np.exp(-od * gamma * gamma / denom)
+        if not jacobian:
+            return transmission
         # -od T times the Lorentzian's derivatives in gamma and center.
         scale = -8.0 * od * gamma * transmission / denom**2
         return np.stack([-gamma * gamma / denom * transmission,
                          scale * d * d, scale * gamma * d], axis=-1)
-    amplitude, tau_c, tau_d, _ = params
-    if kind is ModelKind.CROSS_CONVOLVED:
-        f, d_tau, d_sigma = exp_gauss_grad(x, tau_c, tau_d)
-    elif tau_d == 0:
-        f = np.exp(-2.0 * np.abs(x) / tau_c)
-        d_tau, d_sigma = f * 2.0 * np.abs(x) / tau_c**2, np.zeros_like(x)
+    amplitude, tau_c, sigma, baseline = params
+    # The auto bump is exp_gauss at tau_c / 2 plus its mirror image; points
+    # t carry a last axis of images, which ``total`` sums.
+    signs = np.array([1.0] if kind is ModelKind.CROSS_CONVOLVED else [1.0, -1.0])
+    tau = tau_c / len(signs)
+    binned = bin_width > 0
+    if binned:
+        # Bins that tile the axis share their edges: n + 1 points, not 2n.
+        if x.ndim == 1 and np.max(np.abs(np.diff(x) - bin_width), initial=0) <= 1e-12 * bin_width:
+            ends, lo, hi = np.append(x, x[-1:] + bin_width), np.s_[:-1], np.s_[1:]
+        else:
+            ends, lo, hi = np.stack([x, x + bin_width]), 0, 1
+        t = np.multiply.outer(ends - 0.5 * bin_width, signs)
+        # A bin's mean is (F(hi) - F(lo)) / w, its mirror's (F(-lo) - F(-hi)) / w.
+        total = lambda v: (v[hi] - v[lo]) @ (signs / bin_width)
     else:
-        # Both terms at tau_c / 2 in one call, so d/dtau_c is half d/dtau.
-        f, d_half, d_sigma = (v.sum(axis=0) for v in
-                              exp_gauss_grad(np.stack([x, -x]), tau_c / 2.0, tau_d))
-        d_tau = d_half / 2.0
-    return np.stack([f, amplitude * d_tau, amplitude * d_sigma, np.ones_like(x)],
-                    axis=-1)
-
-
-_GL_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
-_GL_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
-
-
-def _bin_average(evaluate, centers, bin_width):
-    """3-point Gauss-Legendre average over each bin of ``evaluate``, called
-    once on every bin's nodes, one leading row per node."""
-    centers = np.asarray(centers, dtype=float)
-    values = evaluate(centers + 0.5 * bin_width
-                      * _GL_NODES.reshape((3,) + (1,) * centers.ndim))
-    acc = np.zeros_like(values[0])
-    for w, v in zip(_GL_WEIGHTS, values):
-        acc += w * v
-    return acc
-
-
-def model_eval_binned(kind: ModelKind, params, centers, bin_width):
-    """Bin-averaged model: 3-point Gauss-Legendre average over each bin.
-
-    Matches histogrammed data, whose per-bin value is the mean of the
-    underlying curve over the bin, not its center sample.
-    """
-    if bin_width <= 0:
-        return model_eval(kind, params, centers)
-    return _bin_average(lambda x: model_eval(kind, params, x), centers, bin_width)
-
-
-def _require_positive(**kv):
-    for name, v in kv.items():
-        if not v > 0:
-            raise ValidationError("must be positive", field=name)
-
-
-def _require_nonnegative(**kv):
-    for name, v in kv.items():
-        if v < 0:
-            raise ValidationError("must be non-negative", field=name)
+        t = np.multiply.outer(x, signs)
+        total = lambda v: v.sum(axis=-1)
+    f, F, g = _exp_gauss_parts(t, tau, sigma, binned)
+    if not jacobian:
+        return baseline + amplitude * total(F if binned else f)
+    # a = tau df/dtau and b = dF/dsigma; then dF/dtau = F / tau - a and
+    # df/dsigma = -b / tau - g t / sigma^2.
+    a = (f * (t - sigma * sigma / tau) + g * sigma) / tau
+    b = g - f * sigma / tau
+    if binned:
+        value, d_tau, d_sigma = F, F / tau - a, b
+    else:
+        value, d_tau, d_sigma = f, a / tau, -b / tau - (g * t / sigma**2 if sigma > 0 else 0.0)
+    return np.stack([total(value), amplitude * total(d_tau) / len(signs),
+                     amplitude * total(d_sigma), np.ones_like(x)], axis=-1)
 
 
 def _in_domain(kind: ModelKind, params) -> bool:
@@ -235,7 +216,7 @@ def _in_domain(kind: ModelKind, params) -> bool:
         return params[1] > 0 and params[2] >= 0
     if kind is ModelKind.ABSORPTION_OD:
         return params[0] >= 0 and params[1] > 0
-    return True
+    return False
 
 
 @dataclass
@@ -302,14 +283,29 @@ class _Solution:
     message: str
 
 
+def _bounded_step(system, grad, room):
+    """Solve ``system`` dx = -grad with each component that would pass
+    below ``room`` held there; returns dx and the mask of held components."""
+    dx = np.linalg.solve(system, -grad)
+    held = np.zeros(len(dx), dtype=bool)
+    while np.any(passing := ~held & (dx < room)):
+        held |= passing
+        free = ~held
+        dx[held] = room[held]
+        dx[free] = np.linalg.solve(system[free][:, free],
+                                   -grad[free] - system[free][:, held] @ dx[held])
+    return dx, held
+
+
 def _levenberg_marquardt(residual_fn, jac_fn, x, lower, in_domain) -> _Solution:
     """Minimise |r(x)|^2 over x >= lower by Levenberg-Marquardt with
     Marquardt's diagonal scaling, the largest diag(J^T J) seen so far, and
     Nielsen's damping update.
 
-    A step that would cross a bound is cut back to the point that keeps
-    ``BOUND_SHARE`` of the distance to it; a trial outside ``in_domain`` is
-    rejected unevaluated. Every trial counts toward ``MAX_ITERATIONS``.
+    A component whose step would cross its bound is held at the point that
+    keeps ``BOUND_SHARE`` of the distance to it, and the other components
+    are solved again around it; a trial outside ``in_domain`` is rejected
+    unevaluated. Every trial counts toward ``MAX_ITERATIONS``.
     """
     r = residual_fn(x)
     cost, n_eval = float(r @ r), 1
@@ -327,12 +323,15 @@ def _levenberg_marquardt(residual_fn, jac_fn, x, lower, in_domain) -> _Solution:
             if n_eval >= MAX_ITERATIONS:
                 return _Solution(x, r, jac, n_eval, n_jac, False,
                                  f"no tolerance met in {n_eval} evaluations")
-            step = np.linalg.solve(hess + damping * marquardt, -grad)
-            # x - lower is inf where there is no bound, so the floor is -inf there.
-            trial = np.maximum(x + step, x - (1.0 - BOUND_SHARE) * (x - lower))
-            dx = trial - x
-            if np.linalg.norm(dx) < XTOL * (XTOL + np.linalg.norm(x)):
+            # x - lower is inf where there is no bound, so the room is -inf there.
+            dx, held = _bounded_step(hess + damping * marquardt, grad,
+                                     -(1.0 - BOUND_SHARE) * (x - lower))
+            # A held component moves all but BOUND_SHARE of its way to the
+            # bound, which approaches a minimum on the bound, not a stall.
+            if (np.linalg.norm(dx) < XTOL * (XTOL + np.linalg.norm(x))
+                    and not np.any(dx[held])):
                 return _Solution(x, r, jac, n_eval, n_jac, True, f"step below xtol={XTOL:g}")
+            trial = x + dx
             n_eval += 1
             if in_domain(trial):
                 r_trial = residual_fn(trial)

@@ -32,6 +32,7 @@ builds and validates it, and the gate table on disk is its bytes as uint64.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -156,8 +157,10 @@ class StreamWriter:
     """Incremental writer: header and gates first, records appended.
 
     Nothing reaches the sink until the first records have been encoded, or
-    until ``close`` for a stream with none, so input rejected before then
-    creates no file and leaves an existing one untouched.
+    until ``close`` for a stream with none. A path sink is written through
+    a sibling ``<path>.part`` file, which replaces the path on a clean close
+    and is removed when the ``with`` block raises: a failed write creates no
+    file and leaves an existing one untouched.
     """
 
     def __init__(self, sink, header=None, gates=None):
@@ -167,12 +170,13 @@ class StreamWriter:
         self._head = [_pack_header(self.header, HEADER_SIZE if table else 0), *table]
         self._sink = sink
         self._fh = None
+        self._part = None if hasattr(sink, "write") else f"{os.fspath(sink)}.part"
         self._last_ts = None
         self.bytes_written = sum(memoryview(part).nbytes for part in self._head)
 
     def _open(self):
         if self._fh is None:
-            self._fh = self._sink if hasattr(self._sink, "write") else open(self._sink, "wb")
+            self._fh = self._sink if self._part is None else open(self._part, "wb")
             for part in self._head:
                 self._fh.write(part)
         return self._fh
@@ -188,11 +192,10 @@ class StreamWriter:
     def close(self):
         """Finish the stream; one with no records still gets its header."""
         self._open()
-        self._release()
-
-    def _release(self):
-        if self._fh is not None and self._fh is not self._sink:
+        if self._part is not None:
             self._fh.close()
+            os.replace(self._part, self._sink)
+            self._part = None  # a second close, or the with block's, is a no-op
 
     def __enter__(self):
         return self
@@ -200,8 +203,9 @@ class StreamWriter:
     def __exit__(self, exc_type, *exc):
         if exc_type is None:
             self.close()
-        else:
-            self._release()
+        elif self._fh is not None and self._part is not None:
+            self._fh.close()
+            os.remove(self._part)
 
 
 def _read_exact(fh, n, what, offset):

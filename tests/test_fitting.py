@@ -4,12 +4,12 @@ from scipy.optimize import least_squares
 from scipy.special import erfc as scipy_erfc
 from scipy.special import erfcx as scipy_erfcx
 
-from oracles import auto_model, cross_model
+from oracles import auto_model, bin_mean, cross_model
 
 from biphoton import fitting
 from biphoton.errors import NonConvergenceError, ValidationError
 from biphoton.fitting import (DEFAULT_FIXED, FTOL, LOWER_BOUNDS, PARAM_NAMES, ModelKind,
-                              erfcx, exp_gauss, exp_gauss_grad, fit, initial_guess,
+                              erfcx, exp_gauss, fit, initial_guess,
                               model_eval, model_eval_binned, model_jacobian)
 
 
@@ -154,6 +154,27 @@ class TestConvolutionOracle:
         assert not np.allclose(coarse, fine, rtol=1e-4)
         assert np.allclose(tiny, fine, rtol=1e-8)
 
+    def test_bin_means_match_high_precision_integral(self):
+        # Widths from 1 ps to 5 ns and tau_d from 0 up; per draw a bin that
+        # holds 0, one with an edge on 0 and one anywhere on the curve. F is
+        # rounded to about eps tau_c, so bins narrower than tau_c / 2000 are
+        # held to the rounding bound of model_eval_binned's docstring, with
+        # a margin of 2, rather than to 1e-12.
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(18)
+        for _ in range(25):
+            tau_c = rng.uniform(0.5, 30.0)
+            tau_d = (0.0, 1e-4, 0.01, rng.uniform(0.0, 2.0) * tau_c)[rng.integers(4)]
+            w = 10.0 ** rng.uniform(-3.0, np.log10(5.0))
+            centers = np.array([rng.uniform(-w / 2, w / 2), w / 2,
+                                rng.uniform(-3 * tau_c, 6 * tau_c)])
+            for kind in (ModelKind.CROSS_CONVOLVED, ModelKind.AUTO_CONVOLVED):
+                got = model_eval_binned(kind, [1.0, tau_c, tau_d, 0.0], centers, w)
+                want = [bin_mean(c - w / 2, c + w / 2, tau_c, tau_d,
+                                 kind is ModelKind.AUTO_CONVOLVED) for c in centers]
+                assert np.max(np.abs(got - want)) <= max(1e-12, 4 * eps * tau_c / w), \
+                    (kind, tau_c, tau_d, w)
+
 
 class TestJacobian:
     """The analytic Jacobians equal central differences of the models."""
@@ -172,13 +193,20 @@ class TestJacobian:
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_matches_central_differences(self, kind):
         rng = np.random.default_rng(7)
-        for _ in range(20):
+        for draw in range(21):
             params, x = self.random_params(rng, kind)
+            if draw == 20 and kind is not ModelKind.ABSORPTION_OD:
+                params[2] = 0.01  # tau_d, far below the bins
             bin_width = rng.choice([0.0, rng.uniform(0.1, 3.0)])
+            if kind is ModelKind.ABSORPTION_OD:
+                bin_width = 0.0  # the absorption model has no bin means
             jac = model_jacobian(kind, params, x, bin_width)
             assert jac.shape == (len(x), len(params))
             for k in range(len(params)):
-                h = 1e-6 * abs(params[k]) + 1e-9
+                # A step on the scale of tau_c or gamma, params[1]: rounding in
+                # a bin mean grows as tau_c / bin_width, and at tau_d = 0.01 ns
+                # a step of 1e-6 tau_d would difference rounding alone.
+                h = 1e-6 * max(abs(params[k]), params[1])
                 up, down = params.copy(), params.copy()
                 up[k] += h
                 down[k] -= h
@@ -187,9 +215,13 @@ class TestJacobian:
                 scale = np.max(np.abs(numeric)) + 1e-12
                 assert np.max(np.abs(jac[:, k] - numeric)) < 1e-6 * scale, (kind, k)
 
-    def test_exp_gauss_grad_extreme_arguments_stay_finite(self):
-        for values in exp_gauss_grad(np.array([-1e3, -10.0, 0.0, 10.0, 1e3]), 1.0, 0.1):
-            assert np.all(np.isfinite(values))
+    def test_extreme_arguments_stay_finite(self):
+        x = np.array([-1e3, -10.0, 0.0, 10.0, 1e3])
+        for kind in (ModelKind.CROSS_CONVOLVED, ModelKind.AUTO_CONVOLVED):
+            for tau_d in (0.0, 0.1):
+                for bin_width in (0.0, 1.4):
+                    jac = model_jacobian(kind, [1.0, 1.0, tau_d, 0.0], x, bin_width)
+                    assert np.all(np.isfinite(jac))
 
 
 class TestFit:
@@ -291,9 +323,10 @@ class TestFit:
 
     def test_matches_recorded_solution(self):
         # A Poisson cross histogram fitted as `biphoton fit` does; the
-        # constants are the result of the Levenberg-Marquardt solver this
-        # fitter replaced, which the bounded trust-region solver must
-        # reproduce within 1e-3 of a standard error.
+        # constants are SciPy least_squares' best solution over the same
+        # eight starts, at ftol = xtol = gtol = 1e-15 on the exact bin
+        # means, which the solver must reproduce within 1e-3 of a standard
+        # error.
         kind = ModelKind.CROSS_CONVOLVED
         rng = np.random.default_rng(2021)
         x = np.arange(-20.3, 100.0, 1.4)
@@ -303,14 +336,14 @@ class TestFit:
         y = counts / g_acc
         sigma = np.sqrt(counts + 1.0) / g_acc
         r = fit(x, y, sigma, kind, initial_guess(x, y, kind), bin_width=1.4)
-        params = [29.601437229654895, 4.456963823707896,
-                  0.5608086260092305, 0.98035434769754]
-        errors = [0.6929417244576895, 0.09241921673900558,
-                  0.039526892499951505, 0.017057872364810742]
+        params = [29.60094776344496, 4.457034860973832,
+                  0.560562930482388, 0.9803487027421013]
+        errors = [0.6929207593806356, 0.09241885437862114,
+                  0.039505433860888284, 0.017057817666143484]
         assert r.converged
         assert np.all(np.abs(r.params - params) < 1e-3 * np.array(errors))
         assert r.uncertainties == pytest.approx(errors, rel=1e-6)
-        assert r.chi2 == pytest.approx(79.62226658868151, rel=1e-6)
+        assert r.chi2 == pytest.approx(79.62714706228985, rel=1e-6)
 
     def test_requires_enough_samples(self):
         with pytest.raises(ValidationError):
@@ -346,8 +379,9 @@ class TestSolverAgainstScipy:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cross_with_zero_jitter_reaches_scipy_chi2(self, seed):
-        # The chi-square is flat in tau_d below about 0.03 ns on this grid, so
-        # a solver that steps onto the bound stalls there.
+        # A bin edge sits on the step at 0, so the bin means move linearly in
+        # tau_d near 0 and the best tau_d is often on the bound: the solver
+        # must approach it without stalling the other parameters.
         kind = ModelKind.CROSS_CONVOLVED
         x, y, sigma = poisson_cross(seed, (300.0, 4.4, 0.0, 1.0))
         p0 = initial_guess(x, y, kind)

@@ -335,6 +335,16 @@ class TestStreaming:
                 writer.write(ch[i:i + 999], ts[i:i + 999])
         assert inc.getvalue() == one.getvalue()
 
+    def test_failed_writer_leaves_the_path_alone(self, tmp_path):
+        path = tmp_path / "out.tags"
+        path.write_bytes(bytes(range(100)))
+        with pytest.raises(OrderingError):
+            with StreamWriter(path) as writer:
+                writer.write([0], [100])
+                writer.write([0], [50])
+        assert path.read_bytes() == bytes(range(100))
+        assert [p.name for p in tmp_path.iterdir()] == ["out.tags"]
+
     def test_incremental_writer_rejects_cross_chunk_disorder(self):
         with StreamWriter(io.BytesIO()) as writer:
             writer.write([0], [100])
