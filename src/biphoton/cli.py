@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -19,10 +20,9 @@ import numpy as np
 
 from . import __version__
 from .config import load_config
-from .correlate import (AccidentalEstimate, CorrelationHistogram, HistogramConfig,
-                        accidental_from_histogram, cross_correlate, coincidence_rate)
-from .errors import (BiphotonError, CorruptionError, NonConvergenceError,
-                     StreamFormatError, ValidationError)
+from .correlate import (CorrelationHistogram, HistogramConfig, accidental_from_histogram,
+                        cross_correlate, coincidence_rate)
+from .errors import BiphotonError, CorruptionError, StreamFormatError, ValidationError
 from .fitting import PARAM_NAMES, ModelKind, fit, initial_guess, model_eval
 from .metrics import (ODContext, atom_number, bandwidth_from_tau, cauchy_schwarz,
                       spectral_brightness)
@@ -38,8 +38,8 @@ EXIT_NONCONVERGENCE = 5
 
 # The first class an error is an instance of gives its exit code, so
 # subclasses come before their bases; ValidationError is a BiphotonError.
+# A fit that does not converge raises nothing: fit and od-fit return 5.
 EXIT_CODES = (
-    (NonConvergenceError, EXIT_NONCONVERGENCE),
     (CorruptionError, EXIT_CORRUPTION),
     (StreamFormatError, EXIT_CORRUPTION),
     (BiphotonError, EXIT_VALIDATION),
@@ -58,7 +58,7 @@ def _setup_logging():
 def cmd_simulate(args) -> int:
     config, digest = load_config(args.config)
     if args.seed is not None:
-        config = type(config)(**{**config.__dict__, "seed": args.seed})
+        config = dataclasses.replace(config, seed=args.seed)
     manifest = simulate_experiment(config, args.out, config_hash=digest)
     manifest_path = args.manifest or (str(args.out) + ".manifest.json")
     write_manifest(manifest, manifest_path)
@@ -68,20 +68,12 @@ def cmd_simulate(args) -> int:
 
 
 def _histogram_config(args, config=None) -> HistogramConfig:
+    """The config's histogram, or the default one, with each field that a
+    flag of the same name sets replaced."""
     base = config.histogram if config is not None else HistogramConfig()
-    kwargs = {}
-    for flag, name in (("bin_width", "bin_width"), ("dt_min", "dt_min"),
-                       ("dt_max", "dt_max"), ("channel_a", "channel_a"),
-                       ("channel_b", "channel_b")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            kwargs[name] = value
-    if kwargs:
-        merged = {f: getattr(base, f) for f in
-                  ("bin_width", "dt_min", "dt_max", "channel_a", "channel_b")}
-        merged.update(kwargs)
-        return HistogramConfig(**merged)
-    return base
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(HistogramConfig)
+             if getattr(args, f.name, None) is not None}
+    return dataclasses.replace(base, **flags)
 
 
 def cmd_correlate(args) -> int:
@@ -91,13 +83,12 @@ def cmd_correlate(args) -> int:
     hist_cfg = _histogram_config(args, config)
     with StreamReader(args.input) as reader:
         hist = cross_correlate(reader, hist_cfg)
-    acc = accidental_from_histogram(hist)
+    g_acc = accidental_from_histogram(hist)
     sidecar = args.meta or (str(args.out) + ".meta.json")
-    hist.export_csv(args.out, accidental=acc if acc.g_acc > 0 else None,
-                    sidecar=sidecar)
+    hist.export_csv(args.out, g_acc=g_acc, sidecar=sidecar)
     print(f"{hist.total_coincidences} coincidences in {hist.config.n_bins} bins; "
           f"R1={hist.rate_a:.6g} Hz R2={hist.rate_b:.6g} Hz "
-          f"G_acc={acc.g_acc:.6g}/bin")
+          f"G_acc={g_acc:.6g}/bin")
     return EXIT_OK
 
 
@@ -157,9 +148,8 @@ def cmd_fit(args) -> int:
                                         counts=counts.astype(np.int64),
                                         duration_s=meta["duration_s"],
                                         n_a=meta.get("n_a", 0), n_b=meta.get("n_b", 0))
-            acc = AccidentalEstimate(g_acc)
             report["coincidence_rate_hz"] = coincidence_rate(
-                hist, args.coincidence_window, acc)
+                hist, args.coincidence_window, g_acc)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     if args.residuals:
@@ -176,9 +166,17 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+# Points per model evaluation in ``_model_maximum``: the auto model's
+# (points, 2) temporaries stay within 16 kB.
+_GRID_SLICE = 1024
+
+
 def _model_maximum(result, centers) -> float:
+    """The model's maximum on 20 001 points across the histogram, evaluated
+    ``_GRID_SLICE`` points at a time: each slice is a view of the one grid."""
     grid = np.linspace(float(centers.min()), float(centers.max()), 20001)
-    return float(np.max(model_eval(result.kind, result.params, grid)))
+    return max(float(np.max(model_eval(result.kind, result.params, grid[i:i + _GRID_SLICE])))
+               for i in range(0, len(grid), _GRID_SLICE))
 
 
 def _print_fit(result):

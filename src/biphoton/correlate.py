@@ -1,5 +1,6 @@
 """Coincidence histograms from tag streams: single-pass sliding-window
-cross/auto correlation, accidental estimates, and g2 normalization.
+cross/auto correlation, the accidental floor G_acc per bin, and g2
+normalization.
 
 ``StreamCorrelator`` consumes time-ordered chunks, so a stream read through
 ``StreamReader`` is histogrammed with memory bounded by the chunk size, not
@@ -101,12 +102,12 @@ class CorrelationHistogram:
     def bin_centers_ns(self) -> np.ndarray:
         return self.config.bin_centers_ns()
 
-    def export_csv(self, path, accidental=None, sidecar=None):
-        """CSV with bin_center_ns, counts and, when an accidental estimate
-        is supplied, the normalized g2 columns. Optionally writes a JSON
-        metadata sidecar."""
+    def export_csv(self, path, g_acc=None, sidecar=None):
+        """CSV with bin_center_ns, counts and, when the accidental floor
+        ``g_acc`` per bin is positive, the normalized g2 columns and its
+        value in the optional JSON metadata sidecar."""
         centers = self.bin_centers_ns()
-        g2 = normalize(self, accidental) if accidental and accidental.g_acc > 0 else None
+        g2 = normalize(self, g_acc) if g_acc is not None and g_acc > 0 else None
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             if g2 is None:
@@ -131,21 +132,10 @@ class CorrelationHistogram:
                 "channel_b": self.config.channel_b,
                 "total_coincidences": self.total_coincidences,
             }
-            if accidental is not None:
-                meta["g_acc_per_bin"] = accidental.g_acc
+            if g2 is not None:
+                meta["g_acc_per_bin"] = g_acc
             with open(sidecar, "w") as fh:
                 json.dump(meta, fh, indent=2)
-
-
-@dataclass(frozen=True)
-class AccidentalEstimate:
-    """Expected flat coincidence floor per bin."""
-
-    g_acc: float
-
-    def __post_init__(self):
-        if self.g_acc < 0:
-            raise ValidationError("G_acc must be non-negative", field="g_acc")
 
 
 @dataclass
@@ -174,9 +164,9 @@ _BIN_EDGE_KEYS = 1 << 16
 class StreamCorrelator:
     """Single-pass sliding-window correlator over time-ordered chunks.
 
-    Feed (channels, timestamps) chunks in global time order; every ordered
-    pair (a, b) with dt = t_b - t_a inside the histogram range increments
-    the containing bin. A pair in range is less than
+    Feed (channels, timestamps) chunks in global time order, unchecked;
+    every ordered pair (a, b) with dt = t_b - t_a inside the histogram
+    range increments the containing bin. A pair in range is less than
     ``span = max(dt_end_ps, 1 - dt_min_ps)`` ps apart. Tags d apart land at
     +d when the earlier is on channel a, at -d when it is on b, and at both
     in an auto histogram. The tags within a span of a chunk's end are
@@ -220,7 +210,6 @@ class StreamCorrelator:
         self._auto = config.channel_a == config.channel_b
         self._carry_t = np.zeros(0, dtype=np.int64)
         self._carry_a = np.zeros(0, dtype=np.int8)
-        self._last_ts = None
         self._work = {}
         self._n_delays = 0
 
@@ -247,8 +236,6 @@ class StreamCorrelator:
         channels = np.ascontiguousarray(channels)
         if len(timestamps) == 0:
             return
-        check_order(timestamps, self._last_ts)
-        self._last_ts = int(timestamps[-1])
 
         is_a = channels == self.config.channel_a
         on = is_a if self._auto else is_a | (channels == self.config.channel_b)
@@ -273,7 +260,7 @@ class StreamCorrelator:
         a[0] = 0
         a[1:first], a[first:] = self._carry_a, new_a
         self.counts += self._count(t, a, first)
-        keep = t.searchsorted(self._last_ts - self._span_ps, side="right")
+        keep = t.searchsorted(timestamps[-1] - self._span_ps, side="right")
         self._carry_t, self._carry_a = t[keep:].copy(), a[keep:].copy()
 
     def _count(self, t, a, first):
@@ -435,6 +422,8 @@ def cross_correlate(stream: TagStream | StreamReader, config: HistogramConfig,
                     duration_s: float | None = None) -> CorrelationHistogram:
     """Correlate a whole stream: a ``TagStream`` in one feed, or a
     ``StreamReader`` chunk by chunk with memory bounded by the chunk size.
+    The reader checks the order of its chunks; a ``TagStream``'s is checked
+    here, once, and raises ``OrderingError`` when out of order.
 
     ``duration_s`` defaults to the gated live time recorded in the stream
     header. Auto-correlation of one HBT arm is the same operation with the
@@ -447,6 +436,7 @@ def cross_correlate(stream: TagStream | StreamReader, config: HistogramConfig,
     if isinstance(stream, StreamReader):
         chunks = stream.chunks()
     else:
+        check_order(stream.timestamps)
         chunks = [(stream.channels, stream.timestamps)]
     corr = StreamCorrelator(config)
     tags = 0
@@ -462,41 +452,41 @@ def cross_correlate(stream: TagStream | StreamReader, config: HistogramConfig,
 
 
 def accidental_rate(rate_a_hz: float, rate_b_hz: float, bin_width_s: float,
-                    duration_s: float) -> AccidentalEstimate:
-    """Expected accidentals per bin from two independent sources:
-    R1 * R2 * dt_bin * T."""
+                    duration_s: float) -> float:
+    """G_acc, the expected accidentals per bin from two independent
+    sources: R1 * R2 * dt_bin * T."""
     for name, v in (("rate_a", rate_a_hz), ("rate_b", rate_b_hz),
                     ("bin_width", bin_width_s), ("duration", duration_s)):
         if v < 0:
             raise ValidationError("must be non-negative", field=name)
-    return AccidentalEstimate(rate_a_hz * rate_b_hz * bin_width_s * duration_s)
+    return rate_a_hz * rate_b_hz * bin_width_s * duration_s
 
 
-def accidental_from_histogram(hist: CorrelationHistogram) -> AccidentalEstimate:
-    """Accidental floor from the histogram's own measured singles rates."""
+def accidental_from_histogram(hist: CorrelationHistogram) -> float:
+    """G_acc from the histogram's own measured singles rates."""
     return accidental_rate(hist.rate_a, hist.rate_b,
                            hist.config.bin_width_ps * 1e-12, hist.duration_s)
 
 
-def normalize(hist: CorrelationHistogram, acc: AccidentalEstimate) -> G2Histogram:
+def normalize(hist: CorrelationHistogram, g_acc: float) -> G2Histogram:
     """Per-bin g2 = counts / G_acc with sqrt(counts)/G_acc error bars.
 
     Zero-count bins get g2 = 0 with zero error and are flagged low-statistics.
     """
-    if acc.g_acc <= 0:
+    if g_acc <= 0:
         raise ValidationError("G_acc must be positive to normalize", field="g_acc")
     counts = hist.counts.astype(float)
     return G2Histogram(
         bin_centers_ns=hist.bin_centers_ns(),
-        values=counts / acc.g_acc,
-        errors=np.sqrt(counts) / acc.g_acc,
+        values=counts / g_acc,
+        errors=np.sqrt(counts) / g_acc,
         low_statistics=hist.counts == 0,
     )
 
 
 def coincidence_rate(hist: CorrelationHistogram, window_ns: float,
-                     acc: AccidentalEstimate) -> float:
-    """Accidental-subtracted pair rate from the [0, window] delay span."""
+                     g_acc: float) -> float:
+    """Pair rate from the [0, window] delay span, less G_acc per bin."""
     if window_ns <= 0:
         raise ValidationError("window must be positive", field="window_ns")
     centers = hist.bin_centers_ns()
@@ -506,5 +496,5 @@ def coincidence_rate(hist: CorrelationHistogram, window_ns: float,
     n_bins = int(sel.sum())
     if hist.duration_s <= 0:
         raise ValidationError("histogram has no live time", field="duration_s")
-    net = float(hist.counts[sel].sum()) - acc.g_acc * n_bins
+    net = float(hist.counts[sel].sum()) - g_acc * n_bins
     return net / hist.duration_s

@@ -41,10 +41,3 @@ class BudgetError(ValidationError):
         self.overflow_words = overflow_words
         super().__init__(f"{message} ({overflow_words} words over budget)")
 
-
-class NonConvergenceError(BiphotonError):
-    """Fit ran out of iterations; carries the best result found."""
-
-    def __init__(self, message, result=None):
-        self.result = result
-        super().__init__(message)

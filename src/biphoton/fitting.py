@@ -24,7 +24,7 @@ import numpy as np
 # load out of the first command that draws or fits.
 from numpy.random import default_rng
 
-from .errors import NonConvergenceError, ValidationError
+from .errors import ValidationError
 from .metrics import RB_D2_LINEWIDTH_MHZ
 
 
@@ -352,15 +352,15 @@ def _levenberg_marquardt(residual_fn, jac_fn, x, lower, in_domain) -> _Solution:
 
 
 def fit(x, y, sigma_y, kind: ModelKind, initial_params, *,
-        free=None, bin_width: float = 0.0, n_starts: int = 8,
-        raise_on_failure: bool = False) -> FitResult:
+        free=None, bin_width: float = 0.0, n_starts: int = 8) -> FitResult:
     """Fit a model to (x, y, sigma_y) samples.
 
     ``free`` overrides which parameters vary (default: everything except
     the model's conventionally fixed ones). ``bin_width`` > 0 switches to
     bin-averaged model evaluation. ``n_starts`` perturbed initial guesses
     are tried deterministically; the best chi-square wins, ties broken by
-    parameter lexicographic order.
+    parameter lexicographic order. A fit that meets no tolerance returns
+    its best result with ``converged`` False.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -428,7 +428,7 @@ def fit(x, y, sigma_y, kind: ModelKind, initial_params, *,
     except np.linalg.LinAlgError:
         uncertainties[free_idx] = np.nan
     dof = max(len(x) - len(free_idx), 1)
-    result = FitResult(
+    return FitResult(
         kind=kind, params=full, uncertainties=uncertainties,
         chi2=chi2, reduced_chi2=chi2 / dof, n_iterations=sol.n_jacobians,
         n_evaluations=sol.n_evaluations, converged=sol.converged,
@@ -436,9 +436,6 @@ def fit(x, y, sigma_y, kind: ModelKind, initial_params, *,
         fixed=tuple(n for n in names if n not in free_names),
         message=sol.message,
     )
-    if not result.converged and raise_on_failure:
-        raise NonConvergenceError("fit did not converge", result=result)
-    return result
 
 
 def initial_guess(x, y, kind: ModelKind):

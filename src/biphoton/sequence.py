@@ -78,7 +78,6 @@ class SequenceProgram:
     profile: HardwareProfile
     cycles: int
     hardware_looped: bool
-    channel_names: dict = field(default_factory=dict)
     rounding_notes: list = field(default_factory=list)
     # Hand-built programs may declare a duration; compile leaves it derived.
     declared_duration_us: int | None = None
@@ -174,13 +173,8 @@ def compile_duty_cycle(spec: DutyCycleSpec, profile: HardwareProfile) -> Sequenc
                           words_per_cycle - profile.ram_words)
     looped = words_per_cycle * max(spec.cycles, 1) > profile.ram_words
 
-    names = {spec.cooling_channel: "cooling", spec.pump_channel: "pump_p1",
-             spec.gate_channel: "and_gate"}
-    for ch in spec.always_on_channels:
-        names.setdefault(ch, "always_on")
     return SequenceProgram(slots=slots, profile=profile, cycles=spec.cycles,
-                           hardware_looped=looped, channel_names=names,
-                           rounding_notes=notes)
+                           hardware_looped=looped, rounding_notes=notes)
 
 
 def emit_gates(program: SequenceProgram, gate_channel: int) -> np.ndarray:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tagio import PS_PER_NS, TagStream, check_gates, check_order
+from .tagio import PS_PER_NS, TagStream, check_gates
 
 PS_PER_S = 1_000_000_000_000
 NEWTON_TOL_NS = 1e-4
@@ -179,16 +179,6 @@ def generate_pairs(source: PairSource, block=slice(None), cut=None) -> PairEmiss
     idler_ps.sort(kind="stable")  # nearly sorted already: timsort's best case
     idler_ps, source.carry = _held_back(idler_ps, cut)
     return PairEmission(signal_ps, idler_ps)
-
-
-def generate_chaotic(src: SourceConfig, channel: str, duration_ns: float, seed,
-                     start_ps: int = 0) -> np.ndarray:
-    """Chaotic singles of one channel: ``generate_chaotic_gated`` on the one
-    gate ``[start_ps, start_ps + ceil(duration_ns * 1000))``."""
-    if duration_ns <= 0:
-        raise ValidationError("duration must be positive", field="duration_ns")
-    end_ps = start_ps + math.ceil(duration_ns * PS_PER_NS)
-    return generate_chaotic_gated(src, channel, [(start_ps, end_ps)], seed)
 
 
 def _blocks(draw, size=4096):
@@ -363,9 +353,9 @@ def detect(batch: np.ndarray, detector: Detector, block=slice(None), cut=None) -
     block; the rest are clipped to [first gate - 5 sigma, last gate end +
     5 sigma] and pruned by dead time. Blocks are taken in order, and every
     later input must be at least ``cut`` + 5 sigma; the default runs the
-    whole input in one call.
+    whole input in one call. The order of ``batch`` is not checked: the
+    simulation builds it sorted, and the stream writer checks the tags.
     """
-    check_order(batch)
     det, counts = detector.config, detector.counts
     counts["in"] += len(batch)
     if counts["in"] > detector.n_in:

@@ -24,6 +24,8 @@ Byte layout (all little-endian):
   timestamp in ps as 7 little-endian bytes.
 
 Timestamps are non-decreasing within a stream; 2**56 ps is about 20 hours.
+``check_order`` checks that once per path: ``StreamReader.chunks`` on the
+way in and ``StreamWriter`` on the way out; the layers past them trust it.
 
 In memory, gate windows are one sorted, disjoint ``(n, 2)`` int64 array of
 half-open ``[start, end)`` ps windows, one row per window; ``check_gates``
@@ -341,12 +343,3 @@ def merge_records(channels, timestamps):
     order = np.argsort(timestamps, kind="stable")
     return channels[order], timestamps[order]
 
-
-def merge_streams(*streams: TagStream) -> TagStream:
-    """Deterministic sorted merge of streams sharing one epoch."""
-    if not streams:
-        raise ValidationError("need at least one stream")
-    channels, timestamps = merge_records([s.channels for s in streams],
-                                         [s.timestamps for s in streams])
-    return TagStream(channels=channels, timestamps=timestamps,
-                     header=streams[0].header, gates=streams[0].gates)

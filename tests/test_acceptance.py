@@ -22,7 +22,7 @@ from biphoton.metrics import (ODContext, atom_number, bandwidth_from_tau,
 from biphoton.pipeline import simulate_experiment
 from biphoton.sequence import (DutyCycleSpec, HardwareProfile, SequenceProgram,
                                Slot, compile_duty_cycle, emit_gates)
-from biphoton.simulate import SourceConfig, generate_chaotic, split_hbt
+from biphoton.simulate import SourceConfig, generate_chaotic_gated, split_hbt
 from biphoton.tagio import (StreamHeader, StreamReader, TagStream, read_stream,
                             write_stream)
 
@@ -34,15 +34,15 @@ def check(name, ok, detail):
 
 def fit_histogram(hist, kind, window=None):
     """Accidental-normalized weighted fit, same recipe as the CLI."""
-    acc = accidental_from_histogram(hist)
+    g_acc = accidental_from_histogram(hist)
     x = hist.bin_centers_ns()
-    y = hist.counts / acc.g_acc
-    sigma = np.sqrt(hist.counts + 1.0) / acc.g_acc
+    y = hist.counts / g_acc
+    sigma = np.sqrt(hist.counts + 1.0) / g_acc
     if window:
         sel = (x >= window[0]) & (x <= window[1])
         x, y, sigma = x[sel], y[sel], sigma[sel]
     p0 = initial_guess(x, y, kind)
-    return fit(x, y, sigma, kind, p0, bin_width=hist.config.bin_width), acc
+    return fit(x, y, sigma, kind, p0, bin_width=hist.config.bin_width), g_acc
 
 
 REFERENCE_CONDITIONS = {
@@ -128,10 +128,10 @@ def _auto_zero_g2(stream, source_channel, out_channels, seed):
     cfg = HistogramConfig(bin_width=1.4, dt_min=-50, dt_max=50,
                           channel_a=out_channels[0], channel_b=out_channels[1])
     hist = cross_correlate(split, cfg)
-    acc = accidental_from_histogram(hist)
+    g_acc = accidental_from_histogram(hist)
     zero = int(np.argmin(np.abs(hist.bin_centers_ns())))
     # Conservative denominator: never below the coherent-light value.
-    return max(float(hist.counts[zero]) / acc.g_acc, 1.0)
+    return max(float(hist.counts[zero]) / g_acc, 1.0)
 
 
 def test_criterion_04_cauchy_schwarz(tmp_path):
@@ -160,7 +160,8 @@ def test_criterion_04_cauchy_schwarz(tmp_path):
     tau, rate, duration_ns = 50.0, 2e7, 5e7
     src = SourceConfig(uncorrelated_rate_s=rate, chaotic_tau_s=tau,
                        chaotic_grid_dt_ns=0.5)
-    times = generate_chaotic(src, "signal", duration_ns, seed=13)
+    times = generate_chaotic_gated(src, "signal", [(0, int(duration_ns * 1000))],
+                                   seed=13)
     stream = TagStream(channels=np.zeros(len(times), np.uint8),
                        timestamps=times,
                        header=StreamHeader(acquisition_seconds=duration_ns * 1e-9))

@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from biphoton import cli, tagio
+from biphoton import cli, correlate, fitting, tagio
 from biphoton.cli import main
 from biphoton.correlate import HistogramConfig, accidental_from_histogram, cross_correlate
-from biphoton.errors import (BiphotonError, CorruptionError, NonConvergenceError,
+from biphoton.errors import (BiphotonError, CorruptionError, OrderingError,
                              StreamFormatError, ValidationError)
 from biphoton.tagio import StreamHeader, StreamReader, TagStream, read_stream, write_stream
 
@@ -80,6 +80,16 @@ class TestPipeline:
         lines = res.read_text().splitlines()
         assert lines[0] == "x,observed,model,residual"
         assert len(lines) == 286 + 1
+
+    def test_fit_that_does_not_converge_exits_5(self, workspace, monkeypatch, capsys):
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 3)
+        out = workspace["root"] / "stalled.json"
+        assert main(["fit", "--input", str(workspace["hist"]),
+                     "--model", "cross", "--out", str(out)]) == 5
+        report = json.loads(out.read_text())
+        assert report["converged"] is False
+        assert report["starts_converged"] == 0
+        assert "NOT CONVERGED" in capsys.readouterr().out
 
     def test_metrics_from_fit_report(self, workspace, capsys):
         report_path = workspace["root"] / "cross.json"
@@ -208,12 +218,29 @@ class TestStreamingCorrelate:
         assert main(["correlate", "--input", str(stream), "--out", str(out),
                      *flags]) == 0
         hist = cross_correlate(read_stream(stream), cfg)
-        acc = accidental_from_histogram(hist)
         ref = tmp_path / "batch.csv"
-        hist.export_csv(ref, accidental=acc, sidecar=str(ref) + ".meta.json")
+        hist.export_csv(ref, g_acc=accidental_from_histogram(hist),
+                        sidecar=str(ref) + ".meta.json")
         assert out.read_bytes() == ref.read_bytes()
         assert (tmp_path / "cli.csv.meta.json").read_bytes() == \
             (tmp_path / "batch.csv.meta.json").read_bytes()
+
+    def test_order_is_checked_once_per_chunk(self, stream, tmp_path, monkeypatch,
+                                             capsys):
+        # The reader checks each chunk; the correlator does not again.
+        calls = []
+        check_order = tagio.check_order
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return check_order(*args)
+
+        for module in (tagio, correlate):
+            monkeypatch.setattr(module, "check_order", counted)
+        assert main(["correlate", "--input", str(stream),
+                     "--out", str(tmp_path / "h.csv")]) == 0
+        assert len(calls) == 4
+        assert sum(calls) == self.N
 
     def test_never_reads_the_whole_stream(self, stream, tmp_path, monkeypatch,
                                           capsys):
@@ -272,7 +299,7 @@ def test_correlate_memory_is_bounded_by_chunk_not_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("error, code", [
-    (NonConvergenceError("fit did not converge"), 5),
+    (OrderingError("records must be sorted by timestamp"), 2),
     (CorruptionError("truncated record", 56), 4),
     (StreamFormatError("bad magic"), 4),
     (ValidationError("bad value", field="x"), 2),

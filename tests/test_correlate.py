@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from oracles import brute_force_histogram
 
 from biphoton import correlate
-from biphoton.correlate import (AccidentalEstimate, HistogramConfig,
-                                StreamCorrelator, accidental_rate,
+from biphoton.correlate import (HistogramConfig, StreamCorrelator, accidental_rate,
                                 coincidence_rate, cross_correlate, normalize)
 from biphoton.errors import OrderingError, ValidationError
 from biphoton.tagio import StreamHeader, StreamReader, TagStream, write_stream
@@ -131,14 +130,12 @@ class TestCorrelator:
             assert np.array_equal(chunked.counts, batch.counts)
             assert (chunked.n_a, chunked.n_b) == (batch.n_a, batch.n_b)
 
-    def test_unsorted_chunk_rejected(self):
-        corr = StreamCorrelator(HistogramConfig())
+    def test_unsorted_tag_stream_rejected(self):
+        # No reader has checked an in-memory stream: cross_correlate does.
+        stream = TagStream(channels=np.array([0, 1], np.uint8),
+                           timestamps=np.array([100, 50], np.int64))
         with pytest.raises(OrderingError):
-            corr.feed([0, 1], [100, 50])
-        corr2 = StreamCorrelator(HistogramConfig())
-        corr2.feed([0], [100])
-        with pytest.raises(OrderingError):
-            corr2.feed([1], [50])
+            cross_correlate(stream, HistogramConfig())
 
     def test_empty_stream_gives_zero_histogram(self):
         stream = TagStream(channels=np.zeros(0, np.uint8),
@@ -410,16 +407,16 @@ class TestLogging:
 
 class TestAccidentals:
     def test_reference_rates_give_6_15_counts_per_bin(self):
-        acc = accidental_rate(16_295.0, 15_860.0, 1.4e-9, 17.0)
-        assert acc.g_acc == pytest.approx(6.1505, abs=0.001)
+        g_acc = accidental_rate(16_295.0, 15_860.0, 1.4e-9, 17.0)
+        assert g_acc == pytest.approx(6.1505, abs=0.001)
 
     def test_zero_input_gives_zero(self):
-        assert accidental_rate(0.0, 15_860.0, 1.4e-9, 17.0).g_acc == 0.0
+        assert accidental_rate(0.0, 15_860.0, 1.4e-9, 17.0) == 0.0
 
     def test_doubling_duration_doubles_floor(self):
         one = accidental_rate(1e4, 1e4, 1.4e-9, 10.0)
         two = accidental_rate(1e4, 1e4, 1.4e-9, 20.0)
-        assert two.g_acc == pytest.approx(2 * one.g_acc)
+        assert two == pytest.approx(2 * one)
 
 
 class TestNormalization:
@@ -432,19 +429,19 @@ class TestNormalization:
 
     def test_flat_histogram_normalizes_to_unity(self):
         hist = self.make_hist(50)
-        g2 = normalize(hist, AccidentalEstimate(50.0))
+        g2 = normalize(hist, 50.0)
         assert np.allclose(g2.values, 1.0)
 
     def test_peak_normalization_arithmetic(self):
         # Raw peak: (G0 + G_acc) / G_acc with G0 = 1654, G_acc = 5.8.
         hist = self.make_hist(0)
         hist.counts[100] = round(1654 + 5.8)
-        g2 = normalize(hist, AccidentalEstimate(5.8))
+        g2 = normalize(hist, 5.8)
         assert g2.values[100] == pytest.approx(286.2, abs=0.1)
 
     def test_zero_count_bins_flagged(self):
         hist = self.make_hist(0)
-        g2 = normalize(hist, AccidentalEstimate(5.0))
+        g2 = normalize(hist, 5.0)
         assert np.all(g2.values == 0)
         assert np.all(g2.errors == 0)
         assert np.all(g2.low_statistics)
@@ -453,7 +450,7 @@ class TestNormalization:
         hist = self.make_hist(5)
         out = tmp_path / "hist.csv"
         side = tmp_path / "hist.csv.meta.json"
-        hist.export_csv(out, accidental=AccidentalEstimate(5.0), sidecar=side)
+        hist.export_csv(out, g_acc=5.0, sidecar=side)
         header = out.read_text().splitlines()[0]
         assert header == "bin_center_ns,counts,g2,g2_err"
         import json
@@ -470,7 +467,7 @@ class TestCoincidenceRate:
         counts = rng.poisson(40.0, cfg.n_bins).astype(np.int64)
         hist = CorrelationHistogram(config=cfg, counts=counts, duration_s=2.0,
                                     n_a=10, n_b=10)
-        rate = coincidence_rate(hist, 40.0, AccidentalEstimate(40.0))
+        rate = coincidence_rate(hist, 40.0, 40.0)
         n_bins = int(((hist.bin_centers_ns() >= 0)
                       & (hist.bin_centers_ns() <= 40.0)).sum())
         sigma = np.sqrt(40.0 * n_bins) / 2.0
@@ -486,6 +483,6 @@ class TestCoincidenceRate:
         density = np.where(centers >= 0, np.exp(-np.maximum(centers, 0) / tau), 0)
         counts = np.round(1e6 * density * cfg.bin_width).astype(np.int64)
         hist = CorrelationHistogram(config=cfg, counts=counts, duration_s=1.0)
-        full = coincidence_rate(hist, 44.0, AccidentalEstimate(1e-9))
-        short = coincidence_rate(hist, tau, AccidentalEstimate(1e-9))
+        full = coincidence_rate(hist, 44.0, 1e-9)
+        short = coincidence_rate(hist, tau, 1e-9)
         assert short / full == pytest.approx(1 - np.exp(-1), abs=0.01)

@@ -12,8 +12,8 @@ from biphoton.correlate import HistogramConfig, cross_correlate
 from biphoton.errors import ValidationError
 from biphoton.pipeline import simulate_experiment, write_manifest
 from biphoton.simulate import (Detector, DetectorConfig, PairSource, SourceConfig,
-                               detect, generate_chaotic, generate_chaotic_gated,
-                               generate_pairs, split_hbt)
+                               detect, generate_chaotic_gated, generate_pairs,
+                               split_hbt)
 from biphoton.tagio import StreamHeader, TagStream, read_stream
 
 from oracles import chaotic_on_grid, dead_time_mask
@@ -25,6 +25,11 @@ IDENTITY = DetectorConfig()
 
 def one_gate(width_us):
     return [(0, int(width_us * 1_000_000))]
+
+
+def chaotic(src, channel, duration_ns, seed):
+    """One channel's chaotic singles in the one gate [0, duration_ns)."""
+    return generate_chaotic_gated(src, channel, [(0, int(duration_ns * PS))], seed)
 
 
 def pairs_of(src, gates, seed):
@@ -98,16 +103,16 @@ class TestPairGeneration:
 class TestChaoticGeneration:
     def test_zero_rate_is_empty(self):
         src = SourceConfig(uncorrelated_rate_s=0.0)
-        assert len(generate_chaotic(src, "signal", 1000.0, 1)) == 0
+        assert len(chaotic(src, "signal", 1000.0, 1)) == 0
 
     def test_unknown_channel_rejected(self):
         with pytest.raises(ValidationError):
-            generate_chaotic(SourceConfig(), "pump", 1000.0, 1)
+            chaotic(SourceConfig(), "pump", 1000.0, 1)
 
     def test_mean_rate_recovered(self):
         src = SourceConfig(uncorrelated_rate_s=1e6, chaotic_tau_s=10.0)
         duration_ns = 2e7  # 20 ms
-        times = generate_chaotic(src, "signal", duration_ns, seed=11)
+        times = chaotic(src, "signal", duration_ns, seed=11)
         expected = 1e6 * duration_ns * 1e-9
         # Bunching inflates the count variance by 1 + 2 R tau over Poisson.
         sigma = np.sqrt(expected * (1 + 2 * 1e6 * 10e-9))
@@ -120,7 +125,7 @@ class TestChaoticGeneration:
         duration_ns = 3e7  # 30 ms
         src = SourceConfig(uncorrelated_rate_s=rate, chaotic_tau_s=tau,
                            chaotic_grid_dt_ns=0.5)
-        times = generate_chaotic(src, "signal", duration_ns, seed=13)
+        times = chaotic(src, "signal", duration_ns, seed=13)
         cfg = HistogramConfig(bin_width=0.5, dt_min=-200, dt_max=200,
                               channel_a=0, channel_b=0)
         stream = TagStream(channels=np.zeros(len(times), np.uint8),
@@ -172,7 +177,7 @@ class TestChaoticGeneration:
     ])
     def test_matches_grid_oracle(self, rate, tau, duration_ns, bin_ns):
         src = SourceConfig(uncorrelated_rate_s=rate, chaotic_tau_s=tau)
-        events = generate_chaotic(src, "signal", duration_ns, seed=21)
+        events = chaotic(src, "signal", duration_ns, seed=21)
         grid = chaotic_on_grid(rate, tau, duration_ns, tau / 20, seed=21)
         # Mean rate: the counts differ by less than 5 sigma, with the
         # bunching excess 2 r tau on each variance.
@@ -236,9 +241,9 @@ class TestChaoticGeneration:
 
     def test_reproducible_for_same_seed(self):
         src = SourceConfig(uncorrelated_rate_s=1e6, chaotic_tau_s=10.0)
-        a = generate_chaotic(src, "signal", 1e6, seed=4)
-        b = generate_chaotic(src, "signal", 1e6, seed=4)
-        c = generate_chaotic(src, "signal", 1e6, seed=5)
+        a = chaotic(src, "signal", 1e6, seed=4)
+        b = chaotic(src, "signal", 1e6, seed=4)
+        c = chaotic(src, "signal", 1e6, seed=5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -323,10 +328,6 @@ class TestDetector:
         detect(self.batch([1, 2]), detector)
         with pytest.raises(ValidationError):
             detect(self.batch([3, 4]), detector)
-
-    def test_unsorted_batch_rejected(self):
-        with pytest.raises(ValidationError):
-            detect_all(np.array([100, 50], np.int64), IDENTITY, seed=1)
 
 
 class TestSplitHbt:

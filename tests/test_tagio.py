@@ -15,7 +15,7 @@ from biphoton.sequence import (PS_PER_US, DutyCycleSpec, HardwareProfile,
                                compile_duty_cycle, emit_gates)
 from biphoton.tagio import (GATE_READ_WINDOWS, HEADER_SIZE, MAGIC, MAX_TIMESTAMP,
                             RECORD_SIZE, StreamHeader, StreamReader, StreamWriter,
-                            TagStream, _decode_records, check_gates, merge_streams,
+                            TagStream, _decode_records, check_gates, merge_records,
                             read_stream, total_gate_time_ps, write_stream)
 
 
@@ -345,6 +345,11 @@ class TestStreaming:
         assert path.read_bytes() == bytes(range(100))
         assert [p.name for p in tmp_path.iterdir()] == ["out.tags"]
 
+    def test_writer_rejects_an_unsorted_chunk(self):
+        with StreamWriter(io.BytesIO()) as writer:
+            with pytest.raises(OrderingError):
+                writer.write([0, 1], [100, 50])
+
     def test_incremental_writer_rejects_cross_chunk_disorder(self):
         with StreamWriter(io.BytesIO()) as writer:
             writer.write([0], [100])
@@ -352,12 +357,12 @@ class TestStreaming:
                 writer.write([0], [50])
 
 
-def test_merge_streams_sorted():
-    a = tag_stream([(0, 1), (0, 5)])
-    b = tag_stream([(1, 3)])
-    merged = merge_streams(a, b)
-    assert merged.timestamps.tolist() == [1, 3, 5]
-    assert merged.channels.tolist() == [0, 1, 0]
+def test_merge_records_sorted():
+    channels, timestamps = merge_records(
+        [np.array([0, 0], np.uint8), np.array([1, 1], np.uint8)],
+        [np.array([1, 5], np.int64), np.array([3, 5], np.int64)])
+    assert timestamps.tolist() == [1, 3, 5, 5]
+    assert channels.tolist() == [0, 1, 0, 1]  # the earlier run first at equal times
 
 
 class TestDecodeRecords:
