@@ -13,21 +13,20 @@ import dataclasses
 import json
 import logging
 import os
-import statistics
 import sys
 
 import numpy as np
 
 from . import __version__
 from .config import load_config
-from .correlate import (CorrelationHistogram, HistogramConfig, accidental_from_histogram,
-                        cross_correlate, coincidence_rate)
+from .correlate import (HistogramConfig, accidental_from_histogram, coincidence_rate,
+                        cross_correlate, read_histogram)
 from .errors import BiphotonError, CorruptionError, StreamFormatError, ValidationError
 from .fitting import PARAM_NAMES, ModelKind, fit, initial_guess, model_eval
 from .metrics import (ODContext, atom_number, bandwidth_from_tau, cauchy_schwarz,
                       spectral_brightness)
 from .pipeline import simulate_experiment, write_manifest
-from .sequence import compile_duty_cycle, emit_gates, validate
+from .sequence import compile_duty_cycle, emit_gates
 from .tagio import StreamReader
 
 EXIT_OK = 0
@@ -84,80 +83,58 @@ def cmd_correlate(args) -> int:
     with StreamReader(args.input) as reader:
         hist = cross_correlate(reader, hist_cfg)
     g_acc = accidental_from_histogram(hist)
-    sidecar = args.meta or (str(args.out) + ".meta.json")
-    hist.export_csv(args.out, g_acc=g_acc, sidecar=sidecar)
+    hist.export_csv(args.out, g_acc)
     print(f"{hist.total_coincidences} coincidences in {hist.config.n_bins} bins; "
           f"R1={hist.rate_a:.6g} Hz R2={hist.rate_b:.6g} Hz "
           f"G_acc={g_acc:.6g}/bin")
     return EXIT_OK
 
 
-def _read_histogram_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    if not rows:
-        raise ValidationError("histogram CSV is empty", field=str(path))
-    centers = np.array([float(r["bin_center_ns"]) for r in rows])
-    counts = np.array([float(r["counts"]) for r in rows])
-    return centers, counts
+def _fit_points(hist, g_acc, window):
+    """Bin centres, counts / G_acc and their errors, inside ``window``."""
+    x = hist.bin_centers_ns()
+    y = hist.counts / g_acc
+    # sqrt(n + 1) tempers the low-count bias of sqrt(n) weights.
+    sigma = np.sqrt(hist.counts + 1.0) / g_acc
+    if window:
+        sel = (x >= window[0]) & (x <= window[1])
+        x, y, sigma = x[sel], y[sel], sigma[sel]
+    return x, y, sigma
 
 
-def _load_meta(path):
-    meta_path = str(path) + ".meta.json"
-    if os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            return json.load(fh)
-    return {}
+def fit_histogram(hist, g_acc, kind, window=None):
+    """The accidental-normalized weighted fit of a correlation histogram:
+    its bins inside the (lo, hi) ns ``window``, or all of them, divided by
+    the positive accidental floor ``g_acc`` per bin."""
+    if g_acc is None or g_acc <= 0:
+        raise ValidationError("need a positive accidental floor per bin", field="g_acc")
+    x, y, sigma = _fit_points(hist, g_acc, window)
+    return fit(x, y, sigma, kind, initial_guess(x, y, kind),
+               bin_width=hist.config.bin_width)
 
 
 def cmd_fit(args) -> int:
-    centers, counts = _read_histogram_csv(args.input)
-    meta = _load_meta(args.input)
+    hist, g_acc = read_histogram(args.input)
     kind = ModelKind.CROSS_CONVOLVED if args.model == "cross" else ModelKind.AUTO_CONVOLVED
-    g_acc = args.g_acc if args.g_acc is not None else meta.get("g_acc_per_bin")
-    if not g_acc or g_acc <= 0:
-        raise ValidationError("need a positive accidental floor "
-                              "(--g-acc or histogram metadata)", field="g_acc")
-    bin_width = meta.get("bin_width_ns")
-    if bin_width is None:
-        # statistics.median: np.median would import numpy.ma (about 12 ms).
-        bin_width = statistics.median(np.diff(centers).tolist())
-    y = counts / g_acc
-    # sqrt(n + 1) tempers the low-count bias of sqrt(n) weights.
-    sigma = np.sqrt(counts + 1.0) / g_acc
-    if args.window:
-        lo, hi = args.window
-        sel = (centers >= lo) & (centers <= hi)
-        centers, y, sigma = centers[sel], y[sel], sigma[sel]
-    p0 = initial_guess(centers, y, kind)
-    result = fit(centers, y, sigma, kind, p0, bin_width=bin_width)
+    result = fit_histogram(hist, g_acc, kind, args.window)
+    x, y, _ = _fit_points(hist, g_acc, args.window)
     report = result.as_dict()
     report["g_acc_per_bin"] = g_acc
-    report["bin_width_ns"] = bin_width
-    report["g2_model_max"] = _model_maximum(result, centers)
-    if meta:
-        report["rates_hz"] = [meta.get("rate_a_hz"), meta.get("rate_b_hz")]
-        report["duration_s"] = meta.get("duration_s")
-        if args.model == "cross" and meta.get("duration_s"):
-            hist_cfg = HistogramConfig(
-                bin_width=meta["bin_width_ns"], dt_min=meta["dt_min_ns"],
-                dt_max=meta["dt_max_ns"], channel_a=meta["channel_a"],
-                channel_b=meta["channel_b"])
-            hist = CorrelationHistogram(config=hist_cfg,
-                                        counts=counts.astype(np.int64),
-                                        duration_s=meta["duration_s"],
-                                        n_a=meta.get("n_a", 0), n_b=meta.get("n_b", 0))
-            report["coincidence_rate_hz"] = coincidence_rate(
-                hist, args.coincidence_window, g_acc)
+    report["bin_width_ns"] = hist.config.bin_width
+    report["g2_model_max"] = _model_maximum(result, x)
+    report["rates_hz"] = [hist.rate_a, hist.rate_b]
+    report["duration_s"] = hist.duration_s
+    if kind is ModelKind.CROSS_CONVOLVED:
+        report["coincidence_rate_hz"] = coincidence_rate(
+            hist, args.coincidence_window, g_acc)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     if args.residuals:
-        model = model_eval(kind, result.params, centers)
+        model = model_eval(kind, result.params, x)
         with open(args.residuals, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "observed", "model", "residual"])
-            for xi, yi, mi in zip(centers, y, model):
+            for xi, yi, mi in zip(x, y, model):
                 writer.writerow([f"{xi:.6f}", f"{yi:.9g}", f"{mi:.9g}",
                                  f"{yi - mi:.9g}"])
     _print_fit(result)
@@ -211,24 +188,6 @@ def cmd_od_fit(args) -> int:
     return EXIT_OK
 
 
-def cmd_metrics(args) -> int:
-    tau_c = args.tau_c
-    rc = args.rc
-    if args.fit_report:
-        with open(args.fit_report) as fh:
-            report = json.load(fh)
-        tau_c = report["params"]["tau_c"]
-        if rc is None:
-            rc = report.get("coincidence_rate_hz")
-    if tau_c is None:
-        raise ValidationError("need --tau-c or --fit-report", field="tau_c")
-    print(f"bandwidth {bandwidth_from_tau(tau_c):.6g} MHz from tau_c {tau_c:.6g} ns")
-    if rc is not None:
-        print(f"spectral brightness {spectral_brightness(rc, tau_c):.6g} (MHz s)^-1 "
-              f"from r_c {rc:.6g} s^-1")
-    return EXIT_OK
-
-
 def cmd_report(args) -> int:
     def load(path):
         if not path:
@@ -247,10 +206,10 @@ def cmd_report(args) -> int:
     lines = ["correlation  tau_D (ns)          tau_c (ns)"]
     for label, td, tde, tc, tce in rows:
         lines.append(f"{label:<12} {td:.3g} +- {tde:.2g}      {tc:.3g} +- {tce:.2g}")
-    if cross:
-        tau_c = cross["params"]["tau_c"]
+    tau_c = cross["params"]["tau_c"] if cross else args.tau_c
+    if tau_c is not None:
         lines.append(f"bandwidth: {bandwidth_from_tau(tau_c):.4g} MHz")
-        rc = args.rc if args.rc is not None else cross.get("coincidence_rate_hz")
+        rc = args.rc if args.rc is not None else (cross or {}).get("coincidence_rate_hz")
         if rc is not None:
             lines.append(f"coincidence rate: {rc:.4g} s^-1")
             lines.append(
@@ -275,7 +234,6 @@ def cmd_report(args) -> int:
 def cmd_sequence(args) -> int:
     config, _ = load_config(args.config)
     program = compile_duty_cycle(config.duty_cycle, config.hardware)
-    diagnostics = validate(program, config.hardware)
     gates = emit_gates(program, config.duty_cycle.gate_channel)
     if args.out:
         program.export_csv(args.out)
@@ -285,9 +243,7 @@ def cmd_sequence(args) -> int:
           + f", total {program.total_duration_us} us, {len(gates)} gate windows")
     for note in program.rounding_notes:
         print(f"note: {note}")
-    for diag in diagnostics:
-        print(f"diagnostic[{diag['code']}]: {diag['message']}")
-    return EXIT_OK if not diagnostics else EXIT_VALIDATION
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--meta", default=None)
     p.add_argument("--bin-width", dest="bin_width", type=float, default=None)
     p.add_argument("--dt-min", dest="dt_min", type=float, default=None)
     p.add_argument("--dt-max", dest="dt_max", type=float, default=None)
@@ -320,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--model", choices=["cross", "auto"], required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--g-acc", dest="g_acc", type=float, default=None)
     p.add_argument("--window", nargs=2, type=float, default=None,
                    metavar=("LO", "HI"))
     p.add_argument("--coincidence-window", dest="coincidence_window",
@@ -338,14 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--area", type=float, default=ODContext.area_cm2)
     p.set_defaults(func=cmd_od_fit)
 
-    p = sub.add_parser("metrics", help="bandwidth and spectral brightness")
-    p.add_argument("--tau-c", dest="tau_c", type=float, default=None)
-    p.add_argument("--rc", type=float, default=None)
-    p.add_argument("--fit-report", dest="fit_report", default=None)
-    p.set_defaults(func=cmd_metrics)
-
     p = sub.add_parser("report", help="summary table and Cauchy-Schwarz ratio")
-    p.add_argument("--cross", default=None)
+    tau = p.add_mutually_exclusive_group()
+    tau.add_argument("--cross", default=None)
+    tau.add_argument("--tau-c", dest="tau_c", type=float, default=None,
+                     help="coherence time in ns, in place of a cross fit report")
     p.add_argument("--auto-signal", dest="auto_signal", default=None)
     p.add_argument("--auto-idler", dest="auto_idler", default=None)
     p.add_argument("--rc", type=float, default=None)

@@ -102,12 +102,13 @@ class CorrelationHistogram:
     def bin_centers_ns(self) -> np.ndarray:
         return self.config.bin_centers_ns()
 
-    def export_csv(self, path, g_acc=None, sidecar=None):
-        """CSV with bin_center_ns, counts and, when the accidental floor
-        ``g_acc`` per bin is positive, the normalized g2 columns and its
-        value in the optional JSON metadata sidecar."""
+    def export_csv(self, path, g_acc: float):
+        """Writes the CSV at ``path`` and its JSON sidecar at
+        ``<path>.meta.json`` (docs/histogram-format.md). The g2 columns and
+        the sidecar's ``g_acc_per_bin`` are written only when the
+        accidental floor ``g_acc`` per bin is positive."""
         centers = self.bin_centers_ns()
-        g2 = normalize(self, g_acc) if g_acc is not None and g_acc > 0 else None
+        g2 = normalize(self, g_acc) if g_acc > 0 else None
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             if g2 is None:
@@ -118,24 +119,78 @@ class CorrelationHistogram:
                 writer.writerow(["bin_center_ns", "counts", "g2", "g2_err"])
                 for c, n, v, e in zip(centers, self.counts, g2.values, g2.errors):
                     writer.writerow([f"{c:.6f}", int(n), f"{v:.9g}", f"{e:.9g}"])
-        if sidecar:
-            meta = {
-                "duration_s": self.duration_s,
-                "rate_a_hz": self.rate_a,
-                "rate_b_hz": self.rate_b,
-                "n_a": self.n_a,
-                "n_b": self.n_b,
-                "bin_width_ns": self.config.bin_width,
-                "dt_min_ns": self.config.dt_min,
-                "dt_max_ns": self.config.dt_max,
-                "channel_a": self.config.channel_a,
-                "channel_b": self.config.channel_b,
-                "total_coincidences": self.total_coincidences,
-            }
-            if g2 is not None:
-                meta["g_acc_per_bin"] = g_acc
-            with open(sidecar, "w") as fh:
-                json.dump(meta, fh, indent=2)
+        meta = {
+            "duration_s": self.duration_s,
+            "rate_a_hz": self.rate_a,
+            "rate_b_hz": self.rate_b,
+            "n_a": self.n_a,
+            "n_b": self.n_b,
+            "bin_width_ns": self.config.bin_width,
+            "dt_min_ns": self.config.dt_min,
+            "dt_max_ns": self.config.dt_max,
+            "channel_a": self.config.channel_a,
+            "channel_b": self.config.channel_b,
+            "total_coincidences": self.total_coincidences,
+        }
+        if g2 is not None:
+            meta["g_acc_per_bin"] = g_acc
+        with open(_sidecar_path(path), "w") as fh:
+            json.dump(meta, fh, indent=2)
+
+
+def _sidecar_path(csv_path) -> str:
+    return str(csv_path) + ".meta.json"
+
+
+def read_histogram(path) -> tuple[CorrelationHistogram, float | None]:
+    """The histogram ``export_csv`` wrote at ``path`` and its accidental
+    floor G_acc per bin, None when the sidecar records none.
+
+    The binning, live time and singles come from the sidecar, the counts
+    from the CSV. Raises ``ValidationError`` when the sidecar is missing or
+    malformed, when the CSV has other than ``n_bins`` rows, centres more
+    than 1e-6 ns from the binning's or counts that are not non-negative
+    integers, or when the counts do not sum to ``total_coincidences``.
+    """
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        try:
+            table = np.array(list(rows), dtype=float)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {exc}", field="csv") from None
+    sidecar = _sidecar_path(path)
+    try:
+        with open(sidecar) as fh:
+            meta = json.load(fh)
+        config = HistogramConfig(
+            bin_width=meta["bin_width_ns"], dt_min=meta["dt_min_ns"],
+            dt_max=meta["dt_max_ns"], channel_a=meta["channel_a"],
+            channel_b=meta["channel_b"])
+        duration_s, n_a, n_b = meta["duration_s"], meta["n_a"], meta["n_b"]
+        total = meta["total_coincidences"]
+    except FileNotFoundError:
+        raise ValidationError(f"no metadata sidecar {sidecar}", field="sidecar") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed sidecar {sidecar}: {exc!r}",
+                              field="sidecar") from None
+    if (header[:2] != ["bin_center_ns", "counts"]
+            or table.shape != (config.n_bins, len(header))):
+        raise ValidationError(f"{path}: need a bin_center_ns,counts header and "
+                              f"{config.n_bins} full rows", field="csv")
+    if not np.all(np.abs(table[:, 0] - config.bin_centers_ns()) <= 1e-6):
+        raise ValidationError(f"{path}: bin centres disagree with the sidecar's "
+                              "binning", field="bin_center_ns")
+    counts = table[:, 1]
+    if not np.all((counts >= 0) & (counts % 1 == 0)):  # rejects nan and inf too
+        raise ValidationError(f"{path}: counts must be non-negative integers",
+                              field="counts")
+    hist = CorrelationHistogram(config=config, counts=counts.astype(np.int64),
+                                duration_s=duration_s, n_a=n_a, n_b=n_b)
+    if hist.total_coincidences != total:
+        raise ValidationError(f"{path}: counts sum to {hist.total_coincidences}, "
+                              f"the sidecar records {total}", field="total_coincidences")
+    return hist, meta.get("g_acc_per_bin")
 
 
 @dataclass

@@ -3,9 +3,9 @@
 The card plays back RAM words on a fixed slot clock: one 16-bit word per
 slot drives the digital bank, two words per slot add one 32-bit analog
 value, four words per slot use the full resources. Durations round UP to
-slot boundaries (rounding is surfaced in diagnostics); a program either
-unrolls all cycles into RAM or marks itself hardware-looped when only a
-single cycle fits. ``emit_gates`` turns the gate channel into the
+slot boundaries, each rounding noted in ``rounding_notes``; a program
+either unrolls all cycles into RAM or marks itself hardware-looped when
+only a single cycle fits. ``emit_gates`` turns the gate channel into the
 acquisition windows every other layer uses: a sorted, disjoint ``(n, 2)``
 int64 array of half-open ``[start, end)`` ps windows.
 """
@@ -79,8 +79,6 @@ class SequenceProgram:
     cycles: int
     hardware_looped: bool
     rounding_notes: list = field(default_factory=list)
-    # Hand-built programs may declare a duration; compile leaves it derived.
-    declared_duration_us: int | None = None
 
     @property
     def words_per_cycle(self) -> int:
@@ -196,36 +194,3 @@ def emit_gates(program: SequenceProgram, gate_channel: int) -> np.ndarray:
         return windows
     return np.stack([windows[np.r_[True, ~touch], 0],
                      windows[np.r_[~touch, True], 1]], axis=1)
-
-
-def validate(program: SequenceProgram, profile: HardwareProfile) -> list[dict]:
-    """Machine-readable diagnostics; empty list means the program is valid."""
-    diagnostics = []
-    if program.stored_words > profile.ram_words:
-        diagnostics.append({
-            "code": "budget",
-            "message": f"{program.stored_words} words exceed RAM of "
-                       f"{profile.ram_words}",
-            "overflow_words": program.stored_words - profile.ram_words,
-        })
-    digital_mask = (1 << profile.digital_channels) - 1
-    for i, slot in enumerate(program.slots):
-        if slot.digital_word & ~digital_mask:
-            diagnostics.append({"code": "channel_range",
-                                "message": f"slot {i} drives bits above "
-                                           f"channel {profile.digital_channels - 1}"})
-            break
-    for i, slot in enumerate(program.slots):
-        if len(slot.analog_words) > profile.words_per_slot - 1:
-            diagnostics.append({"code": "slot_alignment",
-                                "message": f"slot {i} carries more analog words "
-                                           f"than the slot format allows"})
-            break
-    declared = program.declared_duration_us
-    if declared is not None and (declared % profile.effective_slot_us
-                                 or declared != program.total_duration_us):
-        diagnostics.append({"code": "alignment",
-                            "message": f"declared duration {declared} us does not "
-                                       f"align with {program.total_duration_us} us "
-                                       f"of whole slots"})
-    return diagnostics

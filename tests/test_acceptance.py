@@ -12,7 +12,7 @@ import pytest
 from oracles import auto_model, convolved_exponential, cross_model, \
     brute_force_histogram
 from biphoton.metrics import PhaseMatchSpec, check_phase_matching
-from biphoton.cli import main
+from biphoton.cli import fit_histogram, main
 from biphoton.config import config_from_dict
 from biphoton.correlate import (HistogramConfig, StreamCorrelator,
                                 accidental_from_histogram, cross_correlate)
@@ -30,19 +30,6 @@ from biphoton.tagio import (StreamHeader, StreamReader, TagStream, read_stream,
 def check(name, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} - {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def fit_histogram(hist, kind, window=None):
-    """Accidental-normalized weighted fit, same recipe as the CLI."""
-    g_acc = accidental_from_histogram(hist)
-    x = hist.bin_centers_ns()
-    y = hist.counts / g_acc
-    sigma = np.sqrt(hist.counts + 1.0) / g_acc
-    if window:
-        sel = (x >= window[0]) & (x <= window[1])
-        x, y, sigma = x[sel], y[sel], sigma[sel]
-    p0 = initial_guess(x, y, kind)
-    return fit(x, y, sigma, kind, p0, bin_width=hist.config.bin_width), g_acc
 
 
 REFERENCE_CONDITIONS = {
@@ -65,7 +52,8 @@ def reference_run(tmp_path_factory):
     manifest = simulate_experiment(config_from_dict(REFERENCE_CONDITIONS), path)
     with StreamReader(path) as reader:
         hist = cross_correlate(reader, HistogramConfig())
-    fit_result, acc = fit_histogram(hist, ModelKind.CROSS_CONVOLVED)
+    acc = accidental_from_histogram(hist)
+    fit_result = fit_histogram(hist, acc, ModelKind.CROSS_CONVOLVED)
     elapsed = time.perf_counter() - start
     return {"hist": hist, "fit": fit_result, "acc": acc, "elapsed": elapsed,
             "live_time_s": manifest["live_time_s"]}
@@ -146,7 +134,8 @@ def test_criterion_04_cauchy_schwarz(tmp_path):
     simulate_experiment(config_from_dict(CHAOTIC_PIPELINE), path)
     with StreamReader(path) as reader:
         hist = cross_correlate(reader, HistogramConfig())
-    cross_fit, _ = fit_histogram(hist, ModelKind.CROSS_CONVOLVED)
+    cross_fit = fit_histogram(hist, accidental_from_histogram(hist),
+                              ModelKind.CROSS_CONVOLVED)
     grid = np.linspace(-20, 60, 8001)
     g2_si = float(np.max(model_eval(ModelKind.CROSS_CONVOLVED,
                                     cross_fit.params, grid)))

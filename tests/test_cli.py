@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -50,8 +51,7 @@ class TestPipeline:
         lines = workspace["hist"].read_text().splitlines()
         assert lines[0] == "bin_center_ns,counts,g2,g2_err"
         assert len(lines) == 286 + 1
-        meta = json.loads((str(workspace["hist"]) + ".meta.json")
-                          and (workspace["root"] / "hist.csv.meta.json").read_text())
+        meta = json.loads((workspace["root"] / "hist.csv.meta.json").read_text())
         assert meta["bin_width_ns"] == 1.4
         assert meta["g_acc_per_bin"] > 0
         assert meta["duration_s"] == pytest.approx(0.4)
@@ -71,6 +71,16 @@ class TestPipeline:
         assert report["params"]["tau_d"] == pytest.approx(0.61, abs=0.1)
         assert report["coincidence_rate_hz"] > 0
         assert "converged" in capsys.readouterr().out
+
+    def test_fit_of_the_csv_equals_the_fit_in_memory(self, workspace, capsys):
+        out = workspace["root"] / "cross_again.json"
+        assert main(["fit", "--input", str(workspace["hist"]), "--model", "cross",
+                     "--out", str(out)]) == 0
+        hist = cross_correlate(read_stream(workspace["stream"]), HistogramConfig())
+        result = cli.fit_histogram(hist, accidental_from_histogram(hist),
+                                   fitting.ModelKind.CROSS_CONVOLVED)
+        # JSON round-trips a float exactly: equal here is equal bit for bit.
+        assert json.loads(out.read_text())["params"] == result.as_dict()["params"]
 
     def test_fit_residuals_csv(self, workspace):
         out = workspace["root"] / "cross2.json"
@@ -92,11 +102,18 @@ class TestPipeline:
         assert "NOT CONVERGED" in capsys.readouterr().out
 
     def test_metrics_from_fit_report(self, workspace, capsys):
+        # --tau-c and --rc stand in for the cross fit report's values.
         report_path = workspace["root"] / "cross.json"
-        assert main(["metrics", "--fit-report", str(report_path)]) == 0
-        out = capsys.readouterr().out
-        assert "bandwidth" in out
-        assert "spectral brightness" in out
+        assert main(["report", "--cross", str(report_path)]) == 0
+        from_report = capsys.readouterr().out.splitlines()
+        report = json.loads(report_path.read_text())
+        assert main(["report", "--tau-c", repr(report["params"]["tau_c"]),
+                     "--rc", repr(report["coincidence_rate_hz"])]) == 0
+        from_flags = capsys.readouterr().out.splitlines()
+        metrics = [line for line in from_flags
+                   if line.startswith(("bandwidth:", "spectral brightness:"))]
+        assert len(metrics) == 2
+        assert set(metrics) <= set(from_report)
 
     def test_report_without_autos_marks_r_unavailable(self, workspace, capsys):
         assert main(["report", "--cross",
@@ -219,8 +236,7 @@ class TestStreamingCorrelate:
                      *flags]) == 0
         hist = cross_correlate(read_stream(stream), cfg)
         ref = tmp_path / "batch.csv"
-        hist.export_csv(ref, g_acc=accidental_from_histogram(hist),
-                        sidecar=str(ref) + ".meta.json")
+        hist.export_csv(ref, accidental_from_histogram(hist))
         assert out.read_bytes() == ref.read_bytes()
         assert (tmp_path / "cli.csv.meta.json").read_bytes() == \
             (tmp_path / "batch.csv.meta.json").read_bytes()
@@ -310,8 +326,8 @@ def test_errors_map_to_exit_codes(monkeypatch, capsys, error, code):
     def fail(args):
         raise error
 
-    monkeypatch.setattr(cli, "cmd_metrics", fail)
-    assert main(["metrics"]) == code
+    monkeypatch.setattr(cli, "cmd_report", fail)
+    assert main(["report"]) == code
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
@@ -351,6 +367,23 @@ def test_import_reaches_every_module():
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert set(modules) - set(proc.stdout.split()) == set()
+
+
+def test_readme_commands_exist():
+    # Every subcommand and --flag of README's command lines is one the
+    # parser knows, so the README cannot keep a removed flag.
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        lines = fh.read().replace("\\\n", " ").splitlines()
+    commands = [line.split() for line in lines if line.startswith("biphoton ")]
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert len(commands) >= 6
+    for words in commands:
+        assert words[1] in subparsers.choices, words
+        flags = {w.strip("[]") for w in words[2:] if w.lstrip("[").startswith("--")}
+        known = subparsers.choices[words[1]]._option_string_actions
+        assert flags <= set(known), (words[1], flags - set(known))
 
 
 class TestSequenceCommand:

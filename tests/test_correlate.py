@@ -1,4 +1,5 @@
 import io
+import json
 import logging
 import math
 
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from oracles import brute_force_histogram
 
 from biphoton import correlate
-from biphoton.correlate import (HistogramConfig, StreamCorrelator, accidental_rate,
-                                coincidence_rate, cross_correlate, normalize)
+from biphoton.correlate import (CorrelationHistogram, HistogramConfig, StreamCorrelator,
+                                accidental_rate, coincidence_rate, cross_correlate,
+                                normalize, read_histogram)
 from biphoton.errors import OrderingError, ValidationError
 from biphoton.tagio import StreamHeader, StreamReader, TagStream, write_stream
 
@@ -449,14 +451,93 @@ class TestNormalization:
     def test_export_csv_with_sidecar(self, tmp_path):
         hist = self.make_hist(5)
         out = tmp_path / "hist.csv"
-        side = tmp_path / "hist.csv.meta.json"
-        hist.export_csv(out, g_acc=5.0, sidecar=side)
+        hist.export_csv(out, 5.0)
         header = out.read_text().splitlines()[0]
         assert header == "bin_center_ns,counts,g2,g2_err"
-        import json
-        meta = json.loads(side.read_text())
+        meta = json.loads((tmp_path / "hist.csv.meta.json").read_text())
         assert meta["g_acc_per_bin"] == 5.0
         assert meta["bin_width_ns"] == 1.4
+
+
+def _exported(tmp_path, g_acc=6.25):
+    """A histogram with counts in every bin, written by ``export_csv``."""
+    cfg = HistogramConfig(bin_width=0.7, dt_min=-20.3, dt_max=31.0,
+                          channel_a=2, channel_b=5)
+    counts = np.random.default_rng(8).poisson(30.0, cfg.n_bins).astype(np.int64)
+    hist = CorrelationHistogram(config=cfg, counts=counts, duration_s=3.7,
+                                n_a=91_234, n_b=87_001)
+    path = tmp_path / "h.csv"
+    hist.export_csv(path, g_acc)
+    return hist, path
+
+
+def _edit_csv(path, edit):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n")
+
+
+def _edit_cell(lines, row, col, edit):
+    cells = lines[row].split(",")
+    cells[col] = edit(cells[col])
+    return lines[:row] + [",".join(cells)] + lines[row + 1:]
+
+
+class TestReadHistogram:
+    @pytest.mark.parametrize("g_acc", [6.25, 0.0])
+    def test_round_trip(self, tmp_path, g_acc):
+        hist, path = _exported(tmp_path, g_acc)
+        back, back_g_acc = read_histogram(path)
+        assert back.config == hist.config
+        assert back.counts.dtype == np.int64
+        assert np.array_equal(back.counts, hist.counts)
+        assert (back.n_a, back.n_b, back.duration_s) == (hist.n_a, hist.n_b,
+                                                         hist.duration_s)
+        assert back_g_acc == (g_acc or None)
+
+    @pytest.mark.parametrize("damage", ["missing", "key", "json"])
+    def test_missing_or_malformed_sidecar_rejected(self, tmp_path, damage):
+        _, path = _exported(tmp_path)
+        sidecar = tmp_path / "h.csv.meta.json"
+        if damage == "missing":
+            sidecar.unlink()
+        elif damage == "key":
+            meta = json.loads(sidecar.read_text())
+            del meta["n_a"]
+            sidecar.write_text(json.dumps(meta))
+        else:
+            sidecar.write_text(sidecar.read_text()[:-2])
+        with pytest.raises(ValidationError) as err:
+            read_histogram(path)
+        assert err.value.field == "sidecar"
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda lines: lines[:-1], "csv"),  # a row short
+        (lambda lines: lines + [lines[-1]], "csv"),  # a row over
+        (lambda lines: _edit_cell(lines, 3, 1, lambda n: n + ".5"), "counts"),
+        (lambda lines: _edit_cell(lines, 3, 1, lambda n: "-" + n), "counts"),
+        (lambda lines: _edit_cell(lines, 3, 1, lambda n: "nan"), "counts"),
+        (lambda lines: _edit_cell(lines, 3, 1, lambda n: "x"), "csv"),
+        (lambda lines: _edit_cell(lines, 3, 1, lambda n: str(int(n) + 1)),
+         "total_coincidences"),
+    ], ids=["short", "long", "fraction", "negative", "nan", "text", "total"])
+    def test_damaged_csv_rejected(self, tmp_path, edit, field):
+        _, path = _exported(tmp_path)
+        _edit_csv(path, edit)
+        with pytest.raises(ValidationError) as err:
+            read_histogram(path)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("offset_ns", [9e-7, -9e-7, 1.1e-6, -1.1e-6])
+    def test_centres_agree_with_the_binning_within_1e_6_ns(self, tmp_path, offset_ns):
+        hist, path = _exported(tmp_path)
+        centre = f"{hist.bin_centers_ns()[6] + offset_ns:.9f}"
+        _edit_csv(path, lambda lines: _edit_cell(lines, 7, 0, lambda c: centre))
+        if abs(offset_ns) < 1e-6:
+            assert np.array_equal(read_histogram(path)[0].counts, hist.counts)
+        else:
+            with pytest.raises(ValidationError) as err:
+                read_histogram(path)
+            assert err.value.field == "bin_center_ns"
 
 
 class TestCoincidenceRate:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton.errors import BudgetError, ValidationError
 from biphoton.sequence import (ANALOG_FULL_SCALE_V, DutyCycleSpec,
                                HardwareProfile, SequenceProgram, Slot,
-                               compile_duty_cycle, emit_gates, encode_analog,
-                               validate)
+                               compile_duty_cycle, emit_gates, encode_analog)
 
 PS_PER_US = 1_000_000
 
@@ -50,7 +51,6 @@ class TestCompile:
                           cycles=1000), PROFILE)
         assert program.hardware_looped
         assert program.stored_words == 35
-        assert validate(program, PROFILE) == []
 
     def test_channel_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
@@ -134,36 +134,30 @@ def test_emit_gates_matches_per_slot_reference(program, channel):
 
 
 class TestValidate:
-    def test_compiled_program_is_clean(self):
-        assert validate(compile_duty_cycle(SPEC, PROFILE), PROFILE) == []
-
-    def test_unrolled_overflow_reports_budget(self):
-        spec = DutyCycleSpec(cycles=469)  # 469 * 35 = 16415 words
-        program = compile_duty_cycle(spec, PROFILE)
-        # Force unrolled storage to surface the diagnostic.
-        program.hardware_looped = False
-        diags = validate(program, PROFILE)
-        assert [d["code"] for d in diags] == ["budget"]
-        assert diags[0]["overflow_words"] == 469 * 35 - 16_384
-
-    def test_high_bit_reports_channel_range(self):
-        program = SequenceProgram(slots=[Slot(1 << 23)], profile=PROFILE,
-                                  cycles=1, hardware_looped=False)
-        assert any(d["code"] == "channel_range"
-                   for d in validate(program, PROFILE))
-
-    def test_misaligned_declared_duration_reports_alignment(self):
-        program = SequenceProgram(slots=[Slot(0)] * 5, profile=PROFILE,
-                                  cycles=1, hardware_looped=False,
-                                  declared_duration_us=90)
-        diags = validate(program, PROFILE)
-        assert [d["code"] for d in diags] == ["alignment"]
-
-    def test_aligned_declared_duration_is_clean(self):
-        program = SequenceProgram(slots=[Slot(0)] * 5, profile=PROFILE,
-                                  cycles=1, hardware_looped=False,
-                                  declared_duration_us=100)
-        assert validate(program, PROFILE) == []
+    @settings(max_examples=200, deadline=None)
+    @given(slot_us=st.integers(1, 100), ram_words=st.integers(1, 20_000),
+           words_per_slot=st.sampled_from((1, 2, 4)),
+           load_us=st.floats(0.5, 5000.0), fwm_us=st.floats(0.5, 5000.0),
+           cycles=st.integers(0, 2000), analog=st.booleans())
+    def test_compiled_program_is_clean(self, slot_us, ram_words, words_per_slot,
+                                       load_us, fwm_us, cycles, analog):
+        # What compile returns fits the card: the words it stores fit RAM,
+        # its digital words drive only the card's channels and its analog
+        # words fit the slot format.
+        profile = HardwareProfile(slot_duration_us=slot_us, ram_words=ram_words,
+                                  words_per_slot=words_per_slot)
+        levels = {0: 1.0, 1: 2.0} if analog and words_per_slot > 1 else {}
+        spec = DutyCycleSpec(load_duration_us=load_us, fwm_duration_us=fwm_us,
+                             cycles=cycles, analog_levels_v=levels)
+        try:
+            program = compile_duty_cycle(spec, profile)
+        except BudgetError as err:
+            assert err.overflow_words > 0
+            return
+        assert program.stored_words <= profile.ram_words
+        for slot in program.slots:
+            assert slot.digital_word >> profile.digital_channels == 0
+            assert len(slot.analog_words) <= profile.words_per_slot - 1
 
 
 class TestAnalogEncoding:
