@@ -168,12 +168,15 @@ def read_histogram(path) -> tuple[CorrelationHistogram, float | None]:
             dt_max=meta["dt_max_ns"], channel_a=meta["channel_a"],
             channel_b=meta["channel_b"])
         duration_s, n_a, n_b = meta["duration_s"], meta["n_a"], meta["n_b"]
-        total = meta["total_coincidences"]
+        total, g_acc = meta["total_coincidences"], meta.get("g_acc_per_bin")
     except FileNotFoundError:
         raise ValidationError(f"no metadata sidecar {sidecar}", field="sidecar") from None
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed sidecar {sidecar}: {exc!r}",
                               field="sidecar") from None
+    if not all(isinstance(v, (int, float)) for v in (duration_s, n_a, n_b, total, g_acc or 0)):
+        raise ValidationError(f"malformed sidecar {sidecar}: a value is not a number",
+                              field="sidecar")
     if (header[:2] != ["bin_center_ns", "counts"]
             or table.shape != (config.n_bins, len(header))):
         raise ValidationError(f"{path}: need a bin_center_ns,counts header and "
@@ -190,7 +193,7 @@ def read_histogram(path) -> tuple[CorrelationHistogram, float | None]:
     if hist.total_coincidences != total:
         raise ValidationError(f"{path}: counts sum to {hist.total_coincidences}, "
                               f"the sidecar records {total}", field="total_coincidences")
-    return hist, meta.get("g_acc_per_bin")
+    return hist, g_acc
 
 
 @dataclass

@@ -494,15 +494,18 @@ class TestReadHistogram:
                                                          hist.duration_s)
         assert back_g_acc == (g_acc or None)
 
-    @pytest.mark.parametrize("damage", ["missing", "key", "json"])
+    @pytest.mark.parametrize("damage", ["missing", "key", "json", "text"])
     def test_missing_or_malformed_sidecar_rejected(self, tmp_path, damage):
         _, path = _exported(tmp_path)
         sidecar = tmp_path / "h.csv.meta.json"
         if damage == "missing":
             sidecar.unlink()
-        elif damage == "key":
+        elif damage in ("key", "text"):
             meta = json.loads(sidecar.read_text())
-            del meta["n_a"]
+            if damage == "key":
+                del meta["n_a"]
+            else:
+                meta["g_acc_per_bin"] = "6.25"
             sidecar.write_text(json.dumps(meta))
         else:
             sidecar.write_text(sidecar.read_text()[:-2])
