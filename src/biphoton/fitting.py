@@ -141,7 +141,7 @@ def model_eval(kind: ModelKind, params, x):
     return _model(kind, params, x, 0.0, False)
 
 
-def model_eval_binned(kind: ModelKind, params, centers, bin_width):
+def model_eval_binned(kind: ModelKind, params, centers, bin_width, *, memo=None):
     """Mean of a convolved model over each bin of ``bin_width`` centred on
     ``centers``, which is what a histogram holds; ``bin_width`` <= 0 gives
     ``model_eval``. The absorption model has no bin means.
@@ -150,17 +150,22 @@ def model_eval_binned(kind: ModelKind, params, centers, bin_width):
     ``exp_gauss``, exact but for rounding: F is rounded to about eps tau_c,
     so on the unit peak a mean is within 2 eps tau_c / w, which is below
     1e-12 for bins wider than tau_c / 2000.
+
+    ``memo``, a dict that a caller keeps for one ``kind``, ``centers`` and
+    ``bin_width``, holds the ``exp_gauss`` parts of the last call, which
+    depend on tau_c and tau_d alone; a call with the same two reuses them,
+    and the result is the same to the bit.
     """
-    return _model(kind, params, centers, bin_width, False)
+    return _model(kind, params, centers, bin_width, False, memo)
 
 
-def model_jacobian(kind: ModelKind, params, x, bin_width: float = 0.0):
+def model_jacobian(kind: ModelKind, params, x, bin_width: float = 0.0, *, memo=None):
     """Derivatives of ``model_eval_binned`` in each parameter, on a last
-    axis after the shape of ``x``."""
-    return _model(kind, params, x, bin_width, True)
+    axis after the shape of ``x``; ``memo`` as there."""
+    return _model(kind, params, x, bin_width, True, memo)
 
 
-def _model(kind, params, x, bin_width, jacobian):
+def _model(kind, params, x, bin_width, jacobian, memo=None):
     params = np.asarray(params, dtype=float)
     x = np.asarray(x, dtype=float)
     if not _in_domain(kind, params):
@@ -196,7 +201,12 @@ def _model(kind, params, x, bin_width, jacobian):
     else:
         t = np.multiply.outer(x, signs)
         total = lambda v: v.sum(axis=-1)
-    f, F, g = _exp_gauss_parts(t, tau, sigma, binned)
+    memo = {} if memo is None else memo
+    parts = memo.get((tau, sigma))
+    if parts is None:
+        memo.clear()
+        parts = memo[tau, sigma] = _exp_gauss_parts(t, tau, sigma, binned)
+    f, F, g = parts
     if not jacobian:
         return baseline + amplitude * total(F if binned else f)
     # a = tau df/dtau and b = dF/dsigma; then dF/dtau = F / tau - a and
@@ -394,11 +404,16 @@ def fit(x, y, sigma_y, kind: ModelKind, initial_params, *,
         full[free_idx] = p_free
         return full
 
+    # The solver asks for the Jacobian at the point whose residuals it has
+    # just computed: one evaluation of the model's parts serves both.
+    memo = {}
+
     def residual_fn(p_free):
-        return (model_eval_binned(kind, with_free(p_free), x, bin_width) - y) / sigma_y
+        return (model_eval_binned(kind, with_free(p_free), x, bin_width, memo=memo)
+                - y) / sigma_y
 
     def jac_fn(p_free):
-        jac = model_jacobian(kind, with_free(p_free), x, bin_width)
+        jac = model_jacobian(kind, with_free(p_free), x, bin_width, memo=memo)
         return jac[:, free_idx] / sigma_y[:, None]
 
     # Scaling by exp(normal) keeps each start's signs, so every start is

@@ -345,6 +345,35 @@ class TestFit:
         assert r.uncertainties == pytest.approx(errors, rel=1e-6)
         assert r.chi2 == pytest.approx(79.62714706228985, rel=1e-6)
 
+    @pytest.mark.parametrize("bin_width", [1.4, 0.0])
+    def test_jacobian_reuses_the_parts_of_the_residuals(self, monkeypatch, bin_width):
+        # The solver asks for each Jacobian at the point of its last
+        # residuals; those residuals' exp_gauss parts serve it, and the fit
+        # is the same to the bit as one that evaluates them again.
+        kind = ModelKind.CROSS_CONVOLVED
+        x, y, sigma = poisson_cross(2021, (30.0, 4.4, 0.61, 1.0))
+        p0 = initial_guess(x, y, kind)
+        calls = {"parts": 0, "jacobian": 0}
+        parts, jacobian = fitting._exp_gauss_parts, fitting.model_jacobian
+
+        def counted_parts(*args, **kwargs):
+            calls["parts"] += 1
+            return parts(*args, **kwargs)
+
+        def unshared_jacobian(*args, memo):
+            calls["jacobian"] += 1
+            return jacobian(*args)
+
+        monkeypatch.setattr(fitting, "_exp_gauss_parts", counted_parts)
+        shared = fit(x, y, sigma, kind, p0, bin_width=bin_width)
+        n_shared = calls["parts"]
+        monkeypatch.setattr(fitting, "model_jacobian", unshared_jacobian)
+        calls["parts"] = 0
+        unshared = fit(x, y, sigma, kind, p0, bin_width=bin_width)
+        assert shared.as_dict() == unshared.as_dict()
+        assert calls["jacobian"] > 0
+        assert n_shared == calls["parts"] - calls["jacobian"]
+
     def test_requires_enough_samples(self):
         with pytest.raises(ValidationError):
             fit([0.0, 1.0], [1.0, 2.0], [0.1, 0.1], ModelKind.CROSS_CONVOLVED,

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import logging
+import math
 import tracemalloc
 
 import numpy as np
@@ -239,6 +240,67 @@ class TestChaoticGeneration:
         digest = hashlib.sha256(times.astype("<i8").tobytes()).hexdigest()
         assert (len(times), digest) == self.GOLDEN[channel]
 
+    # CHAOTIC_PIPELINE's source on four of its 2 ms gates: unlike GOLDEN_SRC,
+    # most events there take the closed-form far tail of _chaotic_events.
+    # Pinned before that path existed.
+    FAR_SRC = SourceConfig(uncorrelated_rate_s=2e5, uncorrelated_rate_i=2e5,
+                           chaotic_tau_s=18.9, chaotic_tau_i=12.8,
+                           chaotic_grid_dt_ns=1.2)
+    FAR_GATES = [(k * 2_500_000_000 + 500_000_000, (k + 1) * 2_500_000_000)
+                 for k in range(4)]
+    FAR_GOLDEN = {
+        "signal": (1_557, "1b023cf3f60b63187476ebb8783a9e5d"
+                          "7f738640bfeed14bdc5ed0088f51158a"),
+        "idler": (1_600, "9b8ecff8230b482251e1119c3989711a"
+                         "a8b3bb216adabc005558d334c0a3d96b"),
+    }
+
+    @pytest.mark.parametrize("channel", ["signal", "idler"])
+    def test_far_tail_draws_match_golden_digest(self, channel):
+        times = generate_chaotic_gated(self.FAR_SRC, channel, self.FAR_GATES,
+                                       seed=2024)
+        digest = hashlib.sha256(times.astype("<i8").tobytes()).hexdigest()
+        assert (len(times), digest) == self.FAR_GOLDEN[channel]
+
+    @pytest.mark.parametrize("rate", [2e4, 2e5, 2e6, 2e7])
+    def test_far_tail_changes_no_event(self, monkeypatch, rate):
+        # An infinite threshold sends every event through the general Newton
+        # loop. The offsets are compared as floats, to the bit: the far tail
+        # must round as the general loop does, not just land in the same ps.
+        # 2 us gates hold events whose gate end comes before t_far.
+        widths_ns = [2_000.0, 200_000.0, 2_000.0, 200_000.0]
+        calls = {"expm1": 0}
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def expm1(self, x):
+                calls["expm1"] += 1
+                return math.expm1(x)
+
+        def events(tau, seed):
+            calls["expm1"] = 0
+            rng = np.random.default_rng(seed)
+            ends, offsets = simulate._chaotic_events(rate * 1e-9, tau, widths_ns, rng)
+            return ends, np.array(offsets), calls["expm1"]
+
+        monkeypatch.setattr(simulate, "math", CountingMath())
+        expm1_calls = {"default": 0, "general": 0}
+        for tau in (0.5, 4.4, 18.9, 100.0):
+            for seed in (1, 2, 3):
+                ends, offsets, n_calls = events(tau, seed)
+                expm1_calls["default"] += n_calls
+                with monkeypatch.context() as m:
+                    m.setattr(simulate, "_FAR_EXPONENT", math.inf)
+                    general_ends, general_offsets, n_calls = events(tau, seed)
+                    expm1_calls["general"] += n_calls
+                assert ends == general_ends, (tau, seed)
+                assert np.array_equal(offsets.view(np.int64),
+                                      general_offsets.view(np.int64)), (tau, seed)
+        # The far tail, which calls no expm1, was taken at every rate.
+        assert expm1_calls["default"] < expm1_calls["general"]
+
     def test_reproducible_for_same_seed(self):
         src = SourceConfig(uncorrelated_rate_s=1e6, chaotic_tau_s=10.0)
         a = chaotic(src, "signal", 1e6, seed=4)
@@ -246,6 +308,38 @@ class TestChaoticGeneration:
         c = chaotic(src, "signal", 1e6, seed=5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestScalarBlocks:
+    @staticmethod
+    def generator_blocks(draw, size=4096):  # reference: the plain generator form
+        while True:
+            yield from draw(size).tolist()
+
+    def test_same_draws_at_the_same_points(self):
+        def run(blocks):
+            log, counts = [], {"a": 0, "b": 0}
+
+            def draw(stream, size):
+                log.append((stream, size))
+                counts[stream] += 1
+                base = 100 * (1 if stream == "a" else -1) * counts[stream]
+                return np.arange(base, base + size)
+
+            a = blocks(lambda size: draw("a", size), 3).__next__
+            b = blocks(lambda size: draw("b", size), 3).__next__
+            assert log == []  # nothing is drawn before it is asked for
+            values = []
+            for pattern in ("a", "ab", "aaab", "bbbbbb", "a", "abababab", "bbb"):
+                for stream in pattern:
+                    values.append((stream, (a if stream == "a" else b)()))
+                    values.append(list(log))
+            return values
+
+        old = run(self.generator_blocks)
+        new = run(simulate._blocks)
+        assert new == old
+        assert all(type(v) is int for _, v in new[::2])
 
 
 class TestDetector:
