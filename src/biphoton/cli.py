@@ -19,8 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_config
-from .correlate import (HistogramConfig, accidental_from_histogram, coincidence_rate,
-                        cross_correlate, read_histogram)
+from .correlate import HistogramConfig, coincidence_rate, cross_correlate, read_histogram
 from .errors import BiphotonError, CorruptionError, StreamFormatError, ValidationError
 from .fitting import PARAM_NAMES, ModelKind, fit, initial_guess, model_eval
 from .metrics import (ODContext, atom_number, bandwidth_from_tau, cauchy_schwarz,
@@ -82,16 +81,16 @@ def cmd_correlate(args) -> int:
     hist_cfg = _histogram_config(args, config)
     with StreamReader(args.input) as reader:
         hist = cross_correlate(reader, hist_cfg)
-    g_acc = accidental_from_histogram(hist)
-    hist.export_csv(args.out, g_acc)
+    hist.export_csv(args.out)
     print(f"{hist.total_coincidences} coincidences in {hist.config.n_bins} bins; "
           f"R1={hist.rate_a:.6g} Hz R2={hist.rate_b:.6g} Hz "
-          f"G_acc={g_acc:.6g}/bin")
+          f"G_acc={hist.g_acc:.6g}/bin")
     return EXIT_OK
 
 
-def _fit_points(hist, g_acc, window):
+def _fit_points(hist, window):
     """Bin centres, counts / G_acc and their errors, inside ``window``."""
+    g_acc = hist.g_acc
     x = hist.bin_centers_ns()
     y = hist.counts / g_acc
     # sqrt(n + 1) tempers the low-count bias of sqrt(n) weights.
@@ -102,31 +101,30 @@ def _fit_points(hist, g_acc, window):
     return x, y, sigma
 
 
-def fit_histogram(hist, g_acc, kind, window=None):
+def fit_histogram(hist, kind, window=None):
     """The accidental-normalized weighted fit of a correlation histogram:
     its bins inside the (lo, hi) ns ``window``, or all of them, divided by
-    the positive accidental floor ``g_acc`` per bin."""
-    if g_acc is None or g_acc <= 0:
+    its accidental floor G_acc per bin, which must be positive."""
+    if hist.g_acc <= 0:
         raise ValidationError("need a positive accidental floor per bin", field="g_acc")
-    x, y, sigma = _fit_points(hist, g_acc, window)
+    x, y, sigma = _fit_points(hist, window)
     return fit(x, y, sigma, kind, initial_guess(x, y, kind),
                bin_width=hist.config.bin_width)
 
 
 def cmd_fit(args) -> int:
-    hist, g_acc = read_histogram(args.input)
+    hist = read_histogram(args.input)
     kind = ModelKind.CROSS_CONVOLVED if args.model == "cross" else ModelKind.AUTO_CONVOLVED
-    result = fit_histogram(hist, g_acc, kind, args.window)
-    x, y, _ = _fit_points(hist, g_acc, args.window)
+    result = fit_histogram(hist, kind, args.window)
+    x, y, _ = _fit_points(hist, args.window)
     report = result.as_dict()
-    report["g_acc_per_bin"] = g_acc
+    report["g_acc_per_bin"] = hist.g_acc
     report["bin_width_ns"] = hist.config.bin_width
     report["g2_model_max"] = _model_maximum(result, x)
     report["rates_hz"] = [hist.rate_a, hist.rate_b]
     report["duration_s"] = hist.duration_s
     if kind is ModelKind.CROSS_CONVOLVED:
-        report["coincidence_rate_hz"] = coincidence_rate(
-            hist, args.coincidence_window, g_acc)
+        report["coincidence_rate_hz"] = coincidence_rate(hist, args.coincidence_window)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     if args.residuals:
@@ -143,17 +141,10 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-# Points per model evaluation in ``_model_maximum``: the auto model's
-# (points, 2) temporaries stay within 16 kB.
-_GRID_SLICE = 1024
-
-
 def _model_maximum(result, centers) -> float:
-    """The model's maximum on 20 001 points across the histogram, evaluated
-    ``_GRID_SLICE`` points at a time: each slice is a view of the one grid."""
+    """The model's maximum on 20 001 points across the histogram."""
     grid = np.linspace(float(centers.min()), float(centers.max()), 20001)
-    return max(float(np.max(model_eval(result.kind, result.params, grid[i:i + _GRID_SLICE])))
-               for i in range(0, len(grid), _GRID_SLICE))
+    return float(np.max(model_eval(result.kind, result.params, grid)))
 
 
 def _print_fit(result):

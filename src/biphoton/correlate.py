@@ -1,6 +1,6 @@
 """Coincidence histograms from tag streams: single-pass sliding-window
-cross/auto correlation, the accidental floor G_acc per bin, and g2
-normalization.
+cross/auto correlation, and each histogram's accidental floor G_acc per
+bin from its own singles.
 
 ``StreamCorrelator`` consumes time-ordered chunks, so a stream read through
 ``StreamReader`` is histogrammed with memory bounded by the chunk size, not
@@ -96,29 +96,38 @@ class CorrelationHistogram:
         return self.n_b / self.duration_s if self.duration_s > 0 else 0.0
 
     @property
+    def g_acc(self) -> float:
+        """G_acc, the expected accidentals per bin from two independent
+        sources, R1 * R2 * dt_bin * T; 0 when a channel is silent or there
+        is no live time."""
+        bin_width_s = self.config.bin_width_ps * 1e-12
+        return self.rate_a * self.rate_b * bin_width_s * self.duration_s
+
+    @property
     def total_coincidences(self) -> int:
         return int(self.counts.sum())
 
     def bin_centers_ns(self) -> np.ndarray:
         return self.config.bin_centers_ns()
 
-    def export_csv(self, path, g_acc: float):
+    def export_csv(self, path):
         """Writes the CSV at ``path`` and its JSON sidecar at
-        ``<path>.meta.json`` (docs/histogram-format.md). The g2 columns and
-        the sidecar's ``g_acc_per_bin`` are written only when the
-        accidental floor ``g_acc`` per bin is positive."""
+        ``<path>.meta.json`` (docs/histogram-format.md). The g2 columns,
+        counts / G_acc and sqrt(counts) / G_acc, and the sidecar's
+        ``g_acc_per_bin`` are written only when G_acc is positive."""
         centers = self.bin_centers_ns()
-        g2 = normalize(self, g_acc) if g_acc > 0 else None
+        g_acc = self.g_acc
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            if g2 is None:
+            if g_acc > 0:
+                writer.writerow(["bin_center_ns", "counts", "g2", "g2_err"])
+                for c, n, v, e in zip(centers, self.counts, self.counts / g_acc,
+                                      np.sqrt(self.counts) / g_acc):
+                    writer.writerow([f"{c:.6f}", int(n), f"{v:.9g}", f"{e:.9g}"])
+            else:
                 writer.writerow(["bin_center_ns", "counts"])
                 for c, n in zip(centers, self.counts):
                     writer.writerow([f"{c:.6f}", int(n)])
-            else:
-                writer.writerow(["bin_center_ns", "counts", "g2", "g2_err"])
-                for c, n, v, e in zip(centers, self.counts, g2.values, g2.errors):
-                    writer.writerow([f"{c:.6f}", int(n), f"{v:.9g}", f"{e:.9g}"])
         meta = {
             "duration_s": self.duration_s,
             "rate_a_hz": self.rate_a,
@@ -132,7 +141,7 @@ class CorrelationHistogram:
             "channel_b": self.config.channel_b,
             "total_coincidences": self.total_coincidences,
         }
-        if g2 is not None:
+        if g_acc > 0:
             meta["g_acc_per_bin"] = g_acc
         with open(_sidecar_path(path), "w") as fh:
             json.dump(meta, fh, indent=2)
@@ -142,15 +151,16 @@ def _sidecar_path(csv_path) -> str:
     return str(csv_path) + ".meta.json"
 
 
-def read_histogram(path) -> tuple[CorrelationHistogram, float | None]:
-    """The histogram ``export_csv`` wrote at ``path`` and its accidental
-    floor G_acc per bin, None when the sidecar records none.
+def read_histogram(path) -> CorrelationHistogram:
+    """The histogram ``export_csv`` wrote at ``path``.
 
     The binning, live time and singles come from the sidecar, the counts
-    from the CSV. Raises ``ValidationError`` when the sidecar is missing or
-    malformed, when the CSV has other than ``n_bins`` rows, centres more
-    than 1e-6 ns from the binning's or counts that are not non-negative
-    integers, or when the counts do not sum to ``total_coincidences``.
+    from the CSV; the sidecar's ``g_acc_per_bin`` is not read, since the
+    histogram derives G_acc from its own singles. Raises
+    ``ValidationError`` when the sidecar is missing or malformed, when the
+    CSV has other than ``n_bins`` rows, centres more than 1e-6 ns from the
+    binning's or counts that are not non-negative integers, or when the
+    counts do not sum to ``total_coincidences``.
     """
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
@@ -168,13 +178,13 @@ def read_histogram(path) -> tuple[CorrelationHistogram, float | None]:
             dt_max=meta["dt_max_ns"], channel_a=meta["channel_a"],
             channel_b=meta["channel_b"])
         duration_s, n_a, n_b = meta["duration_s"], meta["n_a"], meta["n_b"]
-        total, g_acc = meta["total_coincidences"], meta.get("g_acc_per_bin")
+        total = meta["total_coincidences"]
     except FileNotFoundError:
         raise ValidationError(f"no metadata sidecar {sidecar}", field="sidecar") from None
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed sidecar {sidecar}: {exc!r}",
                               field="sidecar") from None
-    if not all(isinstance(v, (int, float)) for v in (duration_s, n_a, n_b, total, g_acc or 0)):
+    if not all(isinstance(v, (int, float)) for v in (duration_s, n_a, n_b, total)):
         raise ValidationError(f"malformed sidecar {sidecar}: a value is not a number",
                               field="sidecar")
     if (header[:2] != ["bin_center_ns", "counts"]
@@ -193,17 +203,7 @@ def read_histogram(path) -> tuple[CorrelationHistogram, float | None]:
     if hist.total_coincidences != total:
         raise ValidationError(f"{path}: counts sum to {hist.total_coincidences}, "
                               f"the sidecar records {total}", field="total_coincidences")
-    return hist, g_acc
-
-
-@dataclass
-class G2Histogram:
-    """Per-bin degree of second-order coherence with Poisson error bars."""
-
-    bin_centers_ns: np.ndarray
-    values: np.ndarray
-    errors: np.ndarray
-    low_statistics: np.ndarray  # True where the bin had zero counts
+    return hist
 
 
 # Each chunk picks its kernel from its own density (see StreamCorrelator).
@@ -290,7 +290,7 @@ class StreamCorrelator:
 
     def feed(self, channels, timestamps):
         timestamps = np.asarray(timestamps, dtype=np.int64)
-        # A reader's channels are a strided view, compared far faster copied.
+        # A reader's chunks are contiguous; a strided view compares far faster copied.
         channels = np.ascontiguousarray(channels)
         if len(timestamps) == 0:
             return
@@ -509,41 +509,7 @@ def cross_correlate(stream: TagStream | StreamReader, config: HistogramConfig,
     return hist
 
 
-def accidental_rate(rate_a_hz: float, rate_b_hz: float, bin_width_s: float,
-                    duration_s: float) -> float:
-    """G_acc, the expected accidentals per bin from two independent
-    sources: R1 * R2 * dt_bin * T."""
-    for name, v in (("rate_a", rate_a_hz), ("rate_b", rate_b_hz),
-                    ("bin_width", bin_width_s), ("duration", duration_s)):
-        if v < 0:
-            raise ValidationError("must be non-negative", field=name)
-    return rate_a_hz * rate_b_hz * bin_width_s * duration_s
-
-
-def accidental_from_histogram(hist: CorrelationHistogram) -> float:
-    """G_acc from the histogram's own measured singles rates."""
-    return accidental_rate(hist.rate_a, hist.rate_b,
-                           hist.config.bin_width_ps * 1e-12, hist.duration_s)
-
-
-def normalize(hist: CorrelationHistogram, g_acc: float) -> G2Histogram:
-    """Per-bin g2 = counts / G_acc with sqrt(counts)/G_acc error bars.
-
-    Zero-count bins get g2 = 0 with zero error and are flagged low-statistics.
-    """
-    if g_acc <= 0:
-        raise ValidationError("G_acc must be positive to normalize", field="g_acc")
-    counts = hist.counts.astype(float)
-    return G2Histogram(
-        bin_centers_ns=hist.bin_centers_ns(),
-        values=counts / g_acc,
-        errors=np.sqrt(counts) / g_acc,
-        low_statistics=hist.counts == 0,
-    )
-
-
-def coincidence_rate(hist: CorrelationHistogram, window_ns: float,
-                     g_acc: float) -> float:
+def coincidence_rate(hist: CorrelationHistogram, window_ns: float) -> float:
     """Pair rate from the [0, window] delay span, less G_acc per bin."""
     if window_ns <= 0:
         raise ValidationError("window must be positive", field="window_ns")
@@ -554,5 +520,5 @@ def coincidence_rate(hist: CorrelationHistogram, window_ns: float,
     n_bins = int(sel.sum())
     if hist.duration_s <= 0:
         raise ValidationError("histogram has no live time", field="duration_s")
-    net = float(hist.counts[sel].sum()) - g_acc * n_bins
+    net = float(hist.counts[sel].sum()) - hist.g_acc * n_bins
     return net / hist.duration_s

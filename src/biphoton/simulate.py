@@ -409,7 +409,7 @@ def detect(batch: np.ndarray, detector: Detector, block=slice(None), cut=None) -
                               field="batch")
     times = batch
     if det.quantum_efficiency < 1.0 and len(times):
-        times = times[detector.rng.random(len(times)) < det.quantum_efficiency]
+        times = times.compress(detector.rng.random(len(times)) < det.quantum_efficiency)
     counts["kept"] += len(times)
     sigma_ps = detector.sigma_ps
     if sigma_ps > 0 and len(times):
@@ -435,7 +435,7 @@ def detect(batch: np.ndarray, detector: Detector, block=slice(None), cut=None) -
         keep = _dead_time_filter(times, int(det.dead_time * PS_PER_NS))
         keep[:len(head)] = False  # kept already, by an earlier block
         counts["dead"] += len(times) - len(head) - int(keep.sum())
-        times = times[keep]
+        times = times.compress(keep)
         if len(times):
             detector.last = int(times[-1])
     counts["out"] += len(times)

@@ -249,14 +249,11 @@ def _parse_header(fh):
     return header, check_gates(np.concatenate(parts).reshape(-1, 2)), pos
 
 
-def _decode_records(buf: bytes):
-    """Channels and timestamps of whole records. The channels are a strided
-    view of ``buf``, read-only when it is ``bytes``; the timestamps are the
-    only copy made."""
-    words = np.frombuffer(buf, dtype="<u8")
-    channels = words.view(np.uint8)[::RECORD_SIZE]  # a record's low byte
-    timestamps = (words >> np.uint64(8)).view(np.int64)
-    return channels, timestamps
+def _decode_records(words, channels, timestamps):
+    """Decode ``<u8`` records into ``channels`` (uint8) and ``timestamps``
+    (int64) of the same length: a record's low byte and the bits above."""
+    np.copyto(channels, words.view(np.uint8)[::RECORD_SIZE])
+    np.right_shift(words, np.uint64(8), out=timestamps.view(np.uint64))
 
 
 class StreamReader:
@@ -281,27 +278,33 @@ class StreamReader:
         return (size - self._data_offset) // RECORD_SIZE
 
     def chunks(self):
-        """Yield (channels, timestamps) array pairs of bounded size.
+        """Yield (channels, timestamps) array pairs of at most
+        ``chunk_records`` records.
 
-        A chunk's channels may be a read-only view of the bytes read; copy
-        them before writing to them. Raises ``OrderingError`` at the first
-        chunk whose records are out of order, within the chunk or against
-        the end of the chunk before.
+        One pass reads into one set of buffers: a chunk's arrays are valid
+        until the next iteration, so copy them to keep them. Raises
+        ``OrderingError`` at the first chunk whose records are out of
+        order, within the chunk or against the end of the chunk before.
         """
+        records = np.empty(self.chunk_records, "<u8")
+        channels = np.empty(self.chunk_records, np.uint8)
+        timestamps = np.empty(self.chunk_records, np.int64)
         offset = self._data_offset
         last = None
         while True:
-            buf = self._fh.read(self.chunk_records * RECORD_SIZE)
-            if not buf:
+            got = self._fh.readinto(records)
+            if not got:
                 break
-            if len(buf) % RECORD_SIZE:
+            if got % RECORD_SIZE:
                 raise CorruptionError("truncated record",
-                                      offset + len(buf) - (len(buf) % RECORD_SIZE))
-            channels, timestamps = _decode_records(buf)
-            check_order(timestamps, last)
-            last = timestamps[-1]
-            yield channels, timestamps
-            offset += len(buf)
+                                      offset + got - got % RECORD_SIZE)
+            n = got // RECORD_SIZE
+            chunk_channels, chunk_timestamps = channels[:n], timestamps[:n]
+            _decode_records(records[:n], chunk_channels, chunk_timestamps)
+            check_order(chunk_timestamps, last)
+            last = chunk_timestamps[-1]
+            yield chunk_channels, chunk_timestamps
+            offset += got
 
     def close(self):
         if self._own:
@@ -318,13 +321,14 @@ def read_stream(source) -> TagStream:
     """Read a whole stream into memory as a ``TagStream``; ``StreamReader``
     iterates one in bounded chunks instead."""
     with StreamReader(source) as reader:
-        parts = list(reader.chunks())
-        if parts:
-            channels = np.concatenate([p[0] for p in parts])
-            timestamps = np.concatenate([p[1] for p in parts])
-        else:
-            channels = np.zeros(0, dtype=np.uint8)
-            timestamps = np.zeros(0, dtype=np.int64)
+        n = len(reader)
+        channels = np.empty(n, np.uint8)
+        timestamps = np.empty(n, np.int64)
+        end = 0
+        for chunk_channels, chunk_timestamps in reader.chunks():
+            start, end = end, end + len(chunk_timestamps)
+            channels[start:end] = chunk_channels
+            timestamps[start:end] = chunk_timestamps
         return TagStream(channels=channels, timestamps=timestamps,
                          header=reader.header, gates=reader.gates)
 

@@ -14,8 +14,7 @@ from oracles import auto_model, convolved_exponential, cross_model, \
 from biphoton.metrics import PhaseMatchSpec, check_phase_matching
 from biphoton.cli import fit_histogram, main
 from biphoton.config import config_from_dict
-from biphoton.correlate import (HistogramConfig, StreamCorrelator,
-                                accidental_from_histogram, cross_correlate)
+from biphoton.correlate import HistogramConfig, StreamCorrelator, cross_correlate
 from biphoton.fitting import ModelKind, fit, initial_guess, model_eval
 from biphoton.metrics import (ODContext, atom_number, bandwidth_from_tau,
                               cauchy_schwarz, spectral_brightness)
@@ -52,8 +51,8 @@ def reference_run(tmp_path_factory):
     manifest = simulate_experiment(config_from_dict(REFERENCE_CONDITIONS), path)
     with StreamReader(path) as reader:
         hist = cross_correlate(reader, HistogramConfig())
-    acc = accidental_from_histogram(hist)
-    fit_result = fit_histogram(hist, acc, ModelKind.CROSS_CONVOLVED)
+    acc = hist.g_acc
+    fit_result = fit_histogram(hist, ModelKind.CROSS_CONVOLVED)
     elapsed = time.perf_counter() - start
     return {"hist": hist, "fit": fit_result, "acc": acc, "elapsed": elapsed,
             "live_time_s": manifest["live_time_s"]}
@@ -116,7 +115,7 @@ def _auto_zero_g2(stream, source_channel, out_channels, seed):
     cfg = HistogramConfig(bin_width=1.4, dt_min=-50, dt_max=50,
                           channel_a=out_channels[0], channel_b=out_channels[1])
     hist = cross_correlate(split, cfg)
-    g_acc = accidental_from_histogram(hist)
+    g_acc = hist.g_acc
     zero = int(np.argmin(np.abs(hist.bin_centers_ns())))
     # Conservative denominator: never below the coherent-light value.
     return max(float(hist.counts[zero]) / g_acc, 1.0)
@@ -134,8 +133,7 @@ def test_criterion_04_cauchy_schwarz(tmp_path):
     simulate_experiment(config_from_dict(CHAOTIC_PIPELINE), path)
     with StreamReader(path) as reader:
         hist = cross_correlate(reader, HistogramConfig())
-    cross_fit = fit_histogram(hist, accidental_from_histogram(hist),
-                              ModelKind.CROSS_CONVOLVED)
+    cross_fit = fit_histogram(hist, ModelKind.CROSS_CONVOLVED)
     grid = np.linspace(-20, 60, 8001)
     g2_si = float(np.max(model_eval(ModelKind.CROSS_CONVOLVED,
                                     cross_fit.params, grid)))

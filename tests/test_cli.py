@@ -10,7 +10,7 @@ import pytest
 
 from biphoton import cli, correlate, fitting, tagio
 from biphoton.cli import main
-from biphoton.correlate import HistogramConfig, accidental_from_histogram, cross_correlate
+from biphoton.correlate import HistogramConfig, cross_correlate, read_histogram
 from biphoton.errors import (BiphotonError, CorruptionError, OrderingError,
                              StreamFormatError, ValidationError)
 from biphoton.tagio import StreamHeader, StreamReader, TagStream, read_stream, write_stream
@@ -77,10 +77,30 @@ class TestPipeline:
         assert main(["fit", "--input", str(workspace["hist"]), "--model", "cross",
                      "--out", str(out)]) == 0
         hist = cross_correlate(read_stream(workspace["stream"]), HistogramConfig())
-        result = cli.fit_histogram(hist, accidental_from_histogram(hist),
-                                   fitting.ModelKind.CROSS_CONVOLVED)
+        result = cli.fit_histogram(hist, fitting.ModelKind.CROSS_CONVOLVED)
         # JSON round-trips a float exactly: equal here is equal bit for bit.
         assert json.loads(out.read_text())["params"] == result.as_dict()["params"]
+
+    @pytest.mark.parametrize("channel_b", ["1", "5"], ids=["floor", "silent"])
+    def test_sidecar_floor_is_the_read_back_histograms(self, workspace, tmp_path,
+                                                       capsys, channel_b):
+        # Channel 5 has no tags: the histogram has no floor and the fit
+        # refuses it.
+        out = tmp_path / "h.csv"
+        assert main(["correlate", "--input", str(workspace["stream"]),
+                     "--out", str(out), "--channel-b", channel_b]) == 0
+        meta = json.loads((tmp_path / "h.csv.meta.json").read_text())
+        g_acc = read_histogram(out).g_acc
+        assert (g_acc > 0) == (channel_b == "1")
+        assert meta.get("g_acc_per_bin") == (g_acc or None)
+        if g_acc:
+            report = tmp_path / "r.json"
+            assert main(["fit", "--input", str(out), "--model", "cross",
+                         "--out", str(report)]) == 0
+            assert json.loads(report.read_text())["g_acc_per_bin"] == g_acc
+        else:
+            assert main(["fit", "--input", str(out), "--model", "cross",
+                         "--out", str(tmp_path / "r.json")]) == 2
 
     def test_fit_residuals_csv(self, workspace):
         out = workspace["root"] / "cross2.json"
@@ -236,7 +256,7 @@ class TestStreamingCorrelate:
                      *flags]) == 0
         hist = cross_correlate(read_stream(stream), cfg)
         ref = tmp_path / "batch.csv"
-        hist.export_csv(ref, accidental_from_histogram(hist))
+        hist.export_csv(ref)
         assert out.read_bytes() == ref.read_bytes()
         assert (tmp_path / "cli.csv.meta.json").read_bytes() == \
             (tmp_path / "batch.csv.meta.json").read_bytes()

@@ -12,8 +12,7 @@ from oracles import brute_force_histogram
 
 from biphoton import correlate
 from biphoton.correlate import (CorrelationHistogram, HistogramConfig, StreamCorrelator,
-                                accidental_rate, coincidence_rate, cross_correlate,
-                                normalize, read_histogram)
+                                coincidence_rate, cross_correlate, read_histogram)
 from biphoton.errors import OrderingError, ValidationError
 from biphoton.tagio import StreamHeader, StreamReader, TagStream, write_stream
 
@@ -407,67 +406,88 @@ class TestLogging:
         assert caplog.records == []
 
 
+def singles_histogram(rate_a, rate_b, duration_s, counts=0):
+    """A flat histogram in 1.4 ns bins whose singles give these rates."""
+    cfg = HistogramConfig(bin_width=1.4, dt_min=-50, dt_max=350)
+    return CorrelationHistogram(config=cfg, counts=np.full(cfg.n_bins, counts, np.int64),
+                                duration_s=duration_s, n_a=round(rate_a * duration_s),
+                                n_b=round(rate_b * duration_s))
+
+
 class TestAccidentals:
     def test_reference_rates_give_6_15_counts_per_bin(self):
-        g_acc = accidental_rate(16_295.0, 15_860.0, 1.4e-9, 17.0)
+        g_acc = singles_histogram(16_295.0, 15_860.0, 17.0).g_acc
         assert g_acc == pytest.approx(6.1505, abs=0.001)
 
     def test_zero_input_gives_zero(self):
-        assert accidental_rate(0.0, 15_860.0, 1.4e-9, 17.0) == 0.0
+        assert singles_histogram(0.0, 15_860.0, 17.0).g_acc == 0.0
+        assert singles_histogram(16_295.0, 15_860.0, 0.0).g_acc == 0.0
 
     def test_doubling_duration_doubles_floor(self):
-        one = accidental_rate(1e4, 1e4, 1.4e-9, 10.0)
-        two = accidental_rate(1e4, 1e4, 1.4e-9, 20.0)
+        one = singles_histogram(1e4, 1e4, 10.0).g_acc
+        two = singles_histogram(1e4, 1e4, 20.0).g_acc
         assert two == pytest.approx(2 * one)
 
 
+def g2_columns(path):
+    """The g2 and g2_err columns of a histogram CSV."""
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    return table[:, 2], table[:, 3]
+
+
 class TestNormalization:
-    def make_hist(self, counts, duration=1.0):
-        cfg = HistogramConfig(bin_width=1.4, dt_min=-50, dt_max=350)
-        arr = np.full(cfg.n_bins, counts, dtype=np.int64)
-        from biphoton.correlate import CorrelationHistogram
-        return CorrelationHistogram(config=cfg, counts=arr, duration_s=duration,
-                                    n_a=100, n_b=100)
+    """The g2 columns that ``export_csv`` writes: counts / G_acc and
+    sqrt(counts) / G_acc."""
 
-    def test_flat_histogram_normalizes_to_unity(self):
-        hist = self.make_hist(50)
-        g2 = normalize(hist, 50.0)
-        assert np.allclose(g2.values, 1.0)
+    def make_hist(self, counts, g_acc):
+        # 1e5 singles a channel over T: G_acc = 1e10 * 1.4 ns / T.
+        return singles_histogram(1e5 * g_acc / 14.0, 1e5 * g_acc / 14.0, 14.0 / g_acc,
+                                 counts)
 
-    def test_peak_normalization_arithmetic(self):
+    def test_flat_histogram_normalizes_to_unity(self, tmp_path):
+        hist = self.make_hist(50, 50.0)
+        hist.export_csv(tmp_path / "h.csv")
+        g2, _ = g2_columns(tmp_path / "h.csv")
+        assert np.allclose(g2, 1.0)
+
+    def test_peak_normalization_arithmetic(self, tmp_path):
         # Raw peak: (G0 + G_acc) / G_acc with G0 = 1654, G_acc = 5.8.
-        hist = self.make_hist(0)
+        hist = self.make_hist(0, 5.8)
         hist.counts[100] = round(1654 + 5.8)
-        g2 = normalize(hist, 5.8)
-        assert g2.values[100] == pytest.approx(286.2, abs=0.1)
+        hist.export_csv(tmp_path / "h.csv")
+        g2, g2_err = g2_columns(tmp_path / "h.csv")
+        assert g2[100] == pytest.approx(286.2, abs=0.1)
+        assert g2_err[100] == pytest.approx(np.sqrt(1660) / 5.8, rel=1e-6)
 
-    def test_zero_count_bins_flagged(self):
-        hist = self.make_hist(0)
-        g2 = normalize(hist, 5.0)
-        assert np.all(g2.values == 0)
-        assert np.all(g2.errors == 0)
-        assert np.all(g2.low_statistics)
+    def test_zero_count_bins_give_zero_g2(self, tmp_path):
+        hist = self.make_hist(0, 5.0)
+        hist.export_csv(tmp_path / "h.csv")
+        g2, g2_err = g2_columns(tmp_path / "h.csv")
+        assert np.all(g2 == 0)
+        assert np.all(g2_err == 0)
 
     def test_export_csv_with_sidecar(self, tmp_path):
-        hist = self.make_hist(5)
+        hist = self.make_hist(5, 5.0)
         out = tmp_path / "hist.csv"
-        hist.export_csv(out, 5.0)
+        hist.export_csv(out)
         header = out.read_text().splitlines()[0]
         assert header == "bin_center_ns,counts,g2,g2_err"
         meta = json.loads((tmp_path / "hist.csv.meta.json").read_text())
-        assert meta["g_acc_per_bin"] == 5.0
+        assert meta["g_acc_per_bin"] == hist.g_acc == pytest.approx(5.0)
         assert meta["bin_width_ns"] == 1.4
 
 
 def _exported(tmp_path, g_acc=6.25):
-    """A histogram with counts in every bin, written by ``export_csv``."""
+    """A histogram with counts in every bin and singles that give it an
+    accidental floor of about ``g_acc`` per bin, written by ``export_csv``."""
     cfg = HistogramConfig(bin_width=0.7, dt_min=-20.3, dt_max=31.0,
                           channel_a=2, channel_b=5)
     counts = np.random.default_rng(8).poisson(30.0, cfg.n_bins).astype(np.int64)
-    hist = CorrelationHistogram(config=cfg, counts=counts, duration_s=3.7,
-                                n_a=91_234, n_b=87_001)
+    n_a, duration_s = 91_234, 3.7
+    hist = CorrelationHistogram(config=cfg, counts=counts, duration_s=duration_s,
+                                n_a=n_a, n_b=round(g_acc * duration_s / (n_a * 0.7e-9)))
     path = tmp_path / "h.csv"
-    hist.export_csv(path, g_acc)
+    hist.export_csv(path)
     return hist, path
 
 
@@ -486,13 +506,18 @@ class TestReadHistogram:
     @pytest.mark.parametrize("g_acc", [6.25, 0.0])
     def test_round_trip(self, tmp_path, g_acc):
         hist, path = _exported(tmp_path, g_acc)
-        back, back_g_acc = read_histogram(path)
+        back = read_histogram(path)
         assert back.config == hist.config
         assert back.counts.dtype == np.int64
         assert np.array_equal(back.counts, hist.counts)
         assert (back.n_a, back.n_b, back.duration_s) == (hist.n_a, hist.n_b,
                                                          hist.duration_s)
-        assert back_g_acc == (g_acc or None)
+        assert back.g_acc == hist.g_acc == pytest.approx(g_acc)
+        meta = json.loads((tmp_path / "h.csv.meta.json").read_text())
+        assert meta.get("g_acc_per_bin") == (back.g_acc or None)
+        header = path.read_text().splitlines()[0]
+        assert header == ("bin_center_ns,counts,g2,g2_err" if g_acc
+                          else "bin_center_ns,counts")
 
     @pytest.mark.parametrize("damage", ["missing", "key", "json", "text"])
     def test_missing_or_malformed_sidecar_rejected(self, tmp_path, damage):
@@ -505,7 +530,7 @@ class TestReadHistogram:
             if damage == "key":
                 del meta["n_a"]
             else:
-                meta["g_acc_per_bin"] = "6.25"
+                meta["n_a"] = "91234"
             sidecar.write_text(json.dumps(meta))
         else:
             sidecar.write_text(sidecar.read_text()[:-2])
@@ -536,7 +561,7 @@ class TestReadHistogram:
         centre = f"{hist.bin_centers_ns()[6] + offset_ns:.9f}"
         _edit_csv(path, lambda lines: _edit_cell(lines, 7, 0, lambda c: centre))
         if abs(offset_ns) < 1e-6:
-            assert np.array_equal(read_histogram(path)[0].counts, hist.counts)
+            assert np.array_equal(read_histogram(path).counts, hist.counts)
         else:
             with pytest.raises(ValidationError) as err:
                 read_histogram(path)
@@ -546,12 +571,11 @@ class TestReadHistogram:
 class TestCoincidenceRate:
     def test_pure_accidentals_give_zero_rate(self):
         rng = np.random.default_rng(33)
-        cfg = HistogramConfig(bin_width=1.4, dt_min=-50, dt_max=350)
-        from biphoton.correlate import CorrelationHistogram
-        counts = rng.poisson(40.0, cfg.n_bins).astype(np.int64)
-        hist = CorrelationHistogram(config=cfg, counts=counts, duration_s=2.0,
-                                    n_a=10, n_b=10)
-        rate = coincidence_rate(hist, 40.0, 40.0)
+        # 239 046 singles a channel in 2 s put G_acc at 40.0 per 1.4 ns bin.
+        hist = singles_histogram(119_523.0, 119_523.0, 2.0)
+        assert hist.g_acc == pytest.approx(40.0, abs=1e-3)
+        hist.counts = rng.poisson(hist.g_acc, len(hist.counts)).astype(np.int64)
+        rate = coincidence_rate(hist, 40.0)
         n_bins = int(((hist.bin_centers_ns() >= 0)
                       & (hist.bin_centers_ns() <= 40.0)).sum())
         sigma = np.sqrt(40.0 * n_bins) / 2.0
@@ -561,12 +585,12 @@ class TestCoincidenceRate:
         # Bins of an exact exponential: shrinking the window from "all"
         # to tau_c captures the 1 - 1/e fraction of true pairs.
         cfg = HistogramConfig(bin_width=0.01, dt_min=-10, dt_max=60)
-        from biphoton.correlate import CorrelationHistogram
         centers = cfg.bin_centers_ns()
         tau = 4.4
         density = np.where(centers >= 0, np.exp(-np.maximum(centers, 0) / tau), 0)
         counts = np.round(1e6 * density * cfg.bin_width).astype(np.int64)
         hist = CorrelationHistogram(config=cfg, counts=counts, duration_s=1.0)
-        full = coincidence_rate(hist, 44.0, 1e-9)
-        short = coincidence_rate(hist, tau, 1e-9)
+        assert hist.g_acc == 0.0  # no singles: nothing to subtract
+        full = coincidence_rate(hist, 44.0)
+        short = coincidence_rate(hist, tau)
         assert short / full == pytest.approx(1 - np.exp(-1), abs=0.01)

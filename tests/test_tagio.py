@@ -3,12 +3,14 @@ import os
 import struct
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biphoton import tagio
 from biphoton.errors import (CorruptionError, OrderingError, StreamFormatError,
                              ValidationError)
 from biphoton.sequence import (PS_PER_US, DutyCycleSpec, HardwareProfile,
@@ -163,8 +165,10 @@ class TestValidation:
     def test_reader_accepts_equal_timestamps(self):
         raw = self.hand_written([100, 500, 500, 700])
         for n in (1, 2, 4):
-            parts = list(StreamReader(io.BytesIO(raw), chunk_records=n).chunks())
-            assert np.concatenate([t for _, t in parts]).tolist() == [100, 500, 500, 700]
+            # A chunk's arrays are reused by the next: keep copies.
+            reader = StreamReader(io.BytesIO(raw), chunk_records=n)
+            parts = [t.copy() for _, t in reader.chunks()]
+            assert np.concatenate(parts).tolist() == [100, 500, 500, 700]
 
     def test_timestamp_range_rejected(self):
         with pytest.raises(ValidationError):
@@ -314,7 +318,7 @@ class TestStreaming:
     def test_streaming_equals_batch(self):
         buf, ch, ts = self.build()
         reader = StreamReader(buf, chunk_records=999)
-        parts = list(reader.chunks())
+        parts = [(c.copy(), t.copy()) for c, t in reader.chunks()]
         assert np.array_equal(np.concatenate([p[0] for p in parts]), ch)
         assert np.array_equal(np.concatenate([p[1] for p in parts]), ts)
 
@@ -371,7 +375,8 @@ class TestDecodeRecords:
         words = rng.integers(0, 1 << 64, 1000, dtype=np.uint64, endpoint=False)
         words[:3] = [0xFF, (MAX_TIMESTAMP << 8) | 0xFF, MAX_TIMESTAMP << 8]
         buf = words.astype("<u8").tobytes()
-        channels, timestamps = _decode_records(buf)
+        channels, timestamps = np.empty(1000, np.uint8), np.empty(1000, np.int64)
+        _decode_records(np.frombuffer(buf, "<u8"), channels, timestamps)
         old = np.frombuffer(buf, dtype=np.uint64)
         assert channels.dtype == np.uint8 and timestamps.dtype == np.int64
         assert np.array_equal(channels, (old & np.uint64(0xFF)).astype(np.uint8))
@@ -390,3 +395,37 @@ class TestDecodeRecords:
         for arr, dtype in ((back.channels, np.uint8), (back.timestamps, np.int64)):
             assert arr.dtype == dtype
             assert arr.flags.c_contiguous and arr.flags.writeable
+
+
+class TestChunkLifetime:
+    def test_chunks_share_the_readers_buffers(self):
+        buf, _, _ = TestStreaming().build(n=1000)
+        chunks = StreamReader(buf, chunk_records=300).chunks()
+        first, second = next(chunks), next(chunks)
+        assert np.shares_memory(first[0], second[0])
+        assert np.shares_memory(first[1], second[1])
+
+    def test_read_stream_arrays_are_its_own(self, monkeypatch):
+        seen = []
+
+        class Recording(StreamReader):
+            def chunks(self):
+                for chunk in super().chunks():
+                    seen.append(chunk)
+                    yield chunk
+
+        monkeypatch.setattr(tagio, "StreamReader", Recording)
+        buf, _, _ = TestStreaming().build(n=1000)
+        back = read_stream(buf)
+        assert len(seen) == 1
+        assert not np.shares_memory(back.channels, seen[0][0])
+        assert not np.shares_memory(back.timestamps, seen[0][1])
+
+    @pytest.mark.parametrize("chunk_records", [1, 7, 1 << 16])
+    def test_read_stream_returns_what_was_written(self, monkeypatch, chunk_records):
+        monkeypatch.setattr(tagio, "StreamReader",
+                            partial(StreamReader, chunk_records=chunk_records))
+        buf, ch, ts = TestStreaming().build(n=1000)
+        back = read_stream(buf)
+        assert np.array_equal(back.channels, ch)
+        assert np.array_equal(back.timestamps, ts)
