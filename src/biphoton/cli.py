@@ -21,7 +21,8 @@ from . import __version__
 from .config import load_config
 from .correlate import HistogramConfig, coincidence_rate, cross_correlate, read_histogram
 from .errors import BiphotonError, CorruptionError, StreamFormatError, ValidationError
-from .fitting import PARAM_NAMES, ModelKind, fit, initial_guess, model_eval
+from .fitting import (PARAM_NAMES, ModelKind, fit, initial_guess, model_eval,
+                      model_eval_binned)
 from .metrics import (ODContext, atom_number, bandwidth_from_tau, cauchy_schwarz,
                       spectral_brightness)
 from .pipeline import simulate_experiment, write_manifest
@@ -128,7 +129,8 @@ def cmd_fit(args) -> int:
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     if args.residuals:
-        model = model_eval(kind, result.params, x)
+        # The bin means, which the fit minimised against.
+        model = model_eval_binned(kind, result.params, x, hist.config.bin_width)
         with open(args.residuals, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "observed", "model", "residual"])

@@ -29,56 +29,33 @@ class ExperimentConfig:
     histogram: HistogramConfig = field(default_factory=HistogramConfig)
 
 
-_SECTION_TYPES = {
-    "source": SourceConfig,
-    "signal_detector": DetectorConfig,
-    "idler_detector": DetectorConfig,
-    "duty_cycle": DutyCycleSpec,
-    "hardware": HardwareProfile,
-    "histogram": HistogramConfig,
-}
-
-_TUPLE_FIELDS = {"always_on_channels"}
-_INT_KEY_DICTS = {"analog_levels_v"}
-
-
 def _build_section(cls, data, path):
     if not isinstance(data, dict):
         raise ValidationError("expected an object", field=path)
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValidationError(f"unknown key(s) {sorted(unknown)}", field=path)
-    kwargs = {}
-    for key, value in data.items():
-        if key in _TUPLE_FIELDS and isinstance(value, list):
-            value = tuple(value)
-        if key in _INT_KEY_DICTS and isinstance(value, dict):
-            value = {int(k): v for k, v in value.items()}
-        kwargs[key] = value
     try:
-        return cls(**kwargs)
-    except ValidationError as exc:
-        raise ValidationError(str(exc), field=path) from exc
-    except TypeError as exc:
+        return cls(**data)
+    except (ValidationError, TypeError) as exc:
         raise ValidationError(str(exc), field=path) from exc
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """The config of a parsed document: each section is built by the type
+    that is its field's ``default_factory`` in ``ExperimentConfig``."""
     if not isinstance(data, dict):
         raise ValidationError("config root must be an object", field="")
-    unknown = set(data) - (set(_SECTION_TYPES) | {"seed"})
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    unknown = set(data) - set(fields)
     if unknown:
         raise ValidationError(f"unknown section(s) {sorted(unknown)}", field="")
-    kwargs = {}
-    if "seed" in data:
-        if not isinstance(data["seed"], int):
-            raise ValidationError("seed must be an integer", field="seed")
-        kwargs["seed"] = data["seed"]
-    for name, cls in _SECTION_TYPES.items():
-        if name in data:
-            kwargs[name] = _build_section(cls, data[name], name)
-    return ExperimentConfig(**kwargs)
+    if not isinstance(data.get("seed", 1), int):
+        raise ValidationError("seed must be an integer", field="seed")
+    return ExperimentConfig(**{
+        name: value if name == "seed"
+        else _build_section(fields[name].default_factory, value, name)
+        for name, value in data.items()})
 
 
 def load_config(path) -> tuple[ExperimentConfig, str]:

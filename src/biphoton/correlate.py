@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tagio import PS_PER_NS, StreamReader, TagStream, check_order
+from .tagio import PS_PER_NS, StreamReader, TagStream
 
 log = logging.getLogger("biphoton")
 
@@ -184,7 +184,8 @@ def read_histogram(path) -> CorrelationHistogram:
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed sidecar {sidecar}: {exc!r}",
                               field="sidecar") from None
-    if not all(isinstance(v, (int, float)) for v in (duration_s, n_a, n_b, total)):
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in (duration_s, n_a, n_b, total)):
         raise ValidationError(f"malformed sidecar {sidecar}: a value is not a number",
                               field="sidecar")
     if (header[:2] != ["bin_center_ns", "counts"]
@@ -476,32 +477,25 @@ def _summed_searches(sorted_ps, keys_ps, offsets_ps, side):
     return total
 
 
-def cross_correlate(stream: TagStream | StreamReader, config: HistogramConfig,
-                    duration_s: float | None = None) -> CorrelationHistogram:
-    """Correlate a whole stream: a ``TagStream`` in one feed, or a
-    ``StreamReader`` chunk by chunk with memory bounded by the chunk size.
-    The reader checks the order of its chunks; a ``TagStream``'s is checked
-    here, once, and raises ``OrderingError`` when out of order.
+def cross_correlate(stream: TagStream | StreamReader,
+                    config: HistogramConfig) -> CorrelationHistogram:
+    """Correlate a whole stream fed chunk by chunk from ``stream.chunks()``:
+    a ``StreamReader``'s, with memory bounded by the chunk size, or a
+    ``TagStream``'s one chunk. Either checks the order of its chunks and
+    raises ``OrderingError`` when they are out of order.
 
-    ``duration_s`` defaults to the gated live time recorded in the stream
-    header. Auto-correlation of one HBT arm is the same operation with the
-    arm's two detector channels as channel_a/channel_b. Logs one DEBUG
-    line per pass on the ``biphoton`` logger.
+    The live time T is the gated live time recorded in the stream header.
+    Auto-correlation of one HBT arm is the same operation with the arm's
+    two detector channels as channel_a/channel_b. Logs one DEBUG line per
+    pass on the ``biphoton`` logger.
     """
     started = time.perf_counter()
-    if duration_s is None:
-        duration_s = stream.header.acquisition_seconds
-    if isinstance(stream, StreamReader):
-        chunks = stream.chunks()
-    else:
-        check_order(stream.timestamps)
-        chunks = [(stream.channels, stream.timestamps)]
     corr = StreamCorrelator(config)
     tags = 0
-    for channels, timestamps in chunks:
+    for channels, timestamps in stream.chunks():
         tags += len(timestamps)
         corr.feed(channels, timestamps)
-    hist = corr.finish(duration_s)
+    hist = corr.finish(stream.header.acquisition_seconds)
     log.debug("correlate %d-%d: %d tags in, %d pairs counted, chunks by kernel "
               "%s, %.3f s", config.channel_a, config.channel_b, tags,
               hist.total_coincidences, corr.chunks_by_kernel,

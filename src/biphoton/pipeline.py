@@ -60,18 +60,14 @@ def derive_stage_seeds(root_seed: int):
     }
 
 
-def _species_times(paired: np.ndarray, chaotic: np.ndarray) -> np.ndarray:
-    """One species' emission times, sorted: a stable sort merges the two
-    sorted runs in one pass."""
-    if not len(chaotic):
-        return paired
-    return np.sort(np.concatenate([paired, chaotic]), kind="stable")
+def _block_edges(gates: np.ndarray, pair_counts: np.ndarray, singles):
+    """Blocks of whole gates, a new one starting wherever the events
+    emitted before a gate pass another multiple of ``_BLOCK_TAGS``.
 
-
-def _block_edges(gates: np.ndarray, pair_counts: np.ndarray, singles) -> list:
-    """The first gate of each block, then the gate count: blocks of whole
-    gates, a new one starting wherever the events emitted before a gate
-    pass another multiple of ``_BLOCK_TAGS``."""
+    Returns the first gate of each block, then the gate count, and per
+    block a tuple of each species' chaotic singles in it: views of
+    ``singles`` split where the blocks' first gates start.
+    """
     before = np.cumsum(pair_counts)
     before -= pair_counts
     before *= 2
@@ -79,7 +75,9 @@ def _block_edges(gates: np.ndarray, pair_counts: np.ndarray, singles) -> list:
         before += np.searchsorted(times, gates[:, 0])
     before //= _BLOCK_TAGS
     starts = np.flatnonzero(np.diff(before)) + 1
-    return [0, *starts.tolist(), len(gates)]
+    split = [np.split(times, np.searchsorted(times, gates[starts, 0]))
+             for times in singles]
+    return [0, *starts.tolist(), len(gates)], list(zip(*split))
 
 
 @contextmanager
@@ -118,11 +116,10 @@ def simulate_experiment(config: ExperimentConfig, sink, config_hash: str = "") -
     # passed by a tag of that block, jittered early.
     lead_ps = max(d.clip_ps for d in detectors)
     channels = (SIGNAL_CHANNEL, IDLER_CHANNEL)
-    header = StreamHeader(tick_ps=1, channel_count=2, acquisition_seconds=live_time_s)
-    edges = _block_edges(gates, pairs.counts, singles)
-    taken = [0, 0]  # chaotic singles handed out so far, per species
+    header = StreamHeader(channel_count=2, acquisition_seconds=live_time_s)
+    edges, block_singles = _block_edges(gates, pairs.counts, singles)
     with StreamWriter(sink, header, gates) as writer:
-        for lo, hi in zip(edges[:-1], edges[1:]):
+        for lo, hi, chaotic in zip(edges[:-1], edges[1:], block_singles):
             block = slice(lo, hi)
             cut = int(gates[hi, 0]) if hi < len(gates) else None
             with _timed(wall, "pairs"):
@@ -130,10 +127,9 @@ def simulate_experiment(config: ExperimentConfig, sink, config_hash: str = "") -
             tags = []
             for k, paired in enumerate((emitted.signal_ps, emitted.idler_ps)):
                 with _timed(wall, SPECIES[k]):
-                    end = len(singles[k]) if cut is None else int(
-                        np.searchsorted(singles[k], cut))
-                    batch = _species_times(paired, singles[k][taken[k]:end])
-                    taken[k] = end
+                    # A stable sort merges the two sorted runs in one pass.
+                    batch = (np.sort(np.concatenate([paired, chaotic[k]]), kind="stable")
+                             if len(chaotic[k]) else paired)
                     tags.append(detect(batch, detectors[k], block,
                                        None if cut is None else cut - lead_ps))
             with _timed(wall, "write"):

@@ -13,6 +13,7 @@ int64 array of half-open ``[start, end)`` ps windows.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,26 @@ class DutyCycleSpec:
             raise ValidationError("durations must be positive", field="duration")
         if self.cycles < 0:
             raise ValidationError("must be non-negative", field="cycles")
+        # Every channel is an integer; a JSON document gives the always-on
+        # channels as a list and the analog levels' channels as string keys.
+        try:
+            for name in ("cooling_channel", "pump_channel", "gate_channel"):
+                _channel(getattr(self, name))
+            always_on = tuple(map(_channel, self.always_on_channels))
+            levels = {_channel(int(ch) if isinstance(ch, str) else ch): volts
+                      for ch, volts in self.analog_levels_v.items()}
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValidationError(f"channels must be integers: {exc}",
+                                  field="channels") from None
+        object.__setattr__(self, "always_on_channels", always_on)
+        object.__setattr__(self, "analog_levels_v", levels)
+
+
+def _channel(value) -> int:
+    """A channel number, which must be an integer and not a bool."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a channel number")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)

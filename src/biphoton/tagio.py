@@ -7,9 +7,9 @@ Byte layout (all little-endian):
 
       offset  size  field
       0       8     magic b"BIPHTAG\\0"
-      8       2     version (currently 1)
+      8       2     version (1)
       10      2     reserved (0)
-      12      4     tick unit, ps per tick (> 0, default 1)
+      12      4     tick unit, ps per tick (1)
       16      2     channel count
       18      2     reserved (0)
       20      8     acquisition live time T, float64 seconds
@@ -25,7 +25,8 @@ Byte layout (all little-endian):
 
 Timestamps are non-decreasing within a stream; 2**56 ps is about 20 hours.
 ``check_order`` checks that once per path: ``StreamReader.chunks`` on the
-way in and ``StreamWriter`` on the way out; the layers past them trust it.
+way in, ``TagStream.chunks`` for a stream built in memory and
+``StreamWriter`` on the way out; the layers past them trust it.
 
 In memory, gate windows are one sorted, disjoint ``(n, 2)`` int64 array of
 half-open ``[start, end)`` ps windows, one row per window; ``check_gates``
@@ -78,16 +79,12 @@ def check_gates(gates) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StreamHeader:
-    tick_ps: int = 1
+    """The header fields that vary between streams. The version and the
+    tick each have one legal value, so the writer always packs ``VERSION``
+    and a 1 ps tick and the reader rejects any other."""
+
     channel_count: int = 2
     acquisition_seconds: float = 0.0
-    version: int = VERSION
-
-    def __post_init__(self):
-        if self.tick_ps != 1:
-            raise ValidationError("only 1 ps ticks are supported", field="tick_ps")
-        if self.version < 1:
-            raise ValidationError("version must be >= 1", field="version")
 
 
 @dataclass
@@ -105,6 +102,13 @@ class TagStream:
     def __len__(self):
         return len(self.timestamps)
 
+    def chunks(self):
+        """The stream as its one (channels, timestamps) chunk, the form
+        ``StreamReader.chunks`` yields; raises ``OrderingError`` when the
+        records are out of order, as no reader has checked them."""
+        check_order(self.timestamps)
+        return [(self.channels, self.timestamps)]
+
 
 def check_order(timestamps, after=None):
     """Raise ``OrderingError`` unless ``timestamps`` are non-decreasing and
@@ -116,7 +120,7 @@ def check_order(timestamps, after=None):
 
 def _pack_header(header: StreamHeader, gate_table_offset: int) -> bytes:
     return _HEADER_STRUCT.pack(
-        MAGIC, header.version, 0, header.tick_ps, header.channel_count, 0,
+        MAGIC, VERSION, 0, 1, header.channel_count, 0,  # 1 ps per tick
         header.acquisition_seconds, gate_table_offset, 0, 0)
 
 
@@ -225,13 +229,12 @@ def _parse_header(fh):
      acq_s, table_offset, _r2, _r3) = _HEADER_STRUCT.unpack(raw)
     if magic != MAGIC:
         raise StreamFormatError("bad magic; not a biphoton time-tag stream")
-    if version < 1 or version > VERSION:
+    if version != VERSION:
         raise StreamFormatError(f"unsupported stream version {version}")
     if tick_ps != 1:
         # Every consumer takes timestamps as picoseconds.
         raise StreamFormatError(f"unsupported tick of {tick_ps} ps; only 1 ps is read")
-    header = StreamHeader(tick_ps=tick_ps, channel_count=channel_count,
-                          acquisition_seconds=acq_s, version=version)
+    header = StreamHeader(channel_count=channel_count, acquisition_seconds=acq_s)
     if not table_offset:
         return header, check_gates(None), HEADER_SIZE
     if table_offset != HEADER_SIZE:

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from biphoton import cli, correlate, fitting, tagio
+from biphoton import cli, fitting, tagio
 from biphoton.cli import main
 from biphoton.correlate import HistogramConfig, cross_correlate, read_histogram
 from biphoton.errors import (BiphotonError, CorruptionError, OrderingError,
@@ -110,6 +110,12 @@ class TestPipeline:
         lines = res.read_text().splitlines()
         assert lines[0] == "x,observed,model,residual"
         assert len(lines) == 286 + 1
+        # The model column is what the fit minimised: its chi2 is the report's.
+        table = np.loadtxt(res, delimiter=",", skiprows=1)
+        hist = read_histogram(workspace["hist"])
+        sigma = np.sqrt(hist.counts + 1.0) / hist.g_acc
+        chi2 = float(np.sum(((table[:, 1] - table[:, 2]) / sigma) ** 2))
+        assert chi2 == pytest.approx(json.loads(out.read_text())["chi2"], rel=1e-6)
 
     def test_fit_that_does_not_converge_exits_5(self, workspace, monkeypatch, capsys):
         monkeypatch.setattr(fitting, "MAX_ITERATIONS", 3)
@@ -271,8 +277,7 @@ class TestStreamingCorrelate:
             calls.append(len(args[0]))
             return check_order(*args)
 
-        for module in (tagio, correlate):
-            monkeypatch.setattr(module, "check_order", counted)
+        monkeypatch.setattr(tagio, "check_order", counted)
         assert main(["correlate", "--input", str(stream),
                      "--out", str(tmp_path / "h.csv")]) == 0
         assert len(calls) == 4
@@ -426,6 +431,17 @@ class TestSequenceCommand:
             {"duty_cycle": {"load_duration_us": 500, "fwm_duration_us": 200},
              "hardware": {"ram_words": 10}}))
         assert main(["sequence", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("duty_cycle", [
+        {"analog_levels_v": {"a": 1.0}},
+        {"always_on_channels": 5},
+        {"always_on_channels": [1.5]},
+    ], ids=["text-key", "not-a-list", "fraction"])
+    def test_malformed_channels_exit_2(self, tmp_path, capsys, duty_cycle):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"duty_cycle": duty_cycle}))
+        assert main(["sequence", "--config", str(config)]) == 2
+        assert "duty_cycle" in capsys.readouterr().err
 
 
 class TestODFitCommand:

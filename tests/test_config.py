@@ -44,6 +44,23 @@ class TestConfigFromDict:
             {"duty_cycle": {"analog_levels_v": {"0": 1.1}}})
         assert config.duty_cycle.analog_levels_v == {0: 1.1}
 
+    @pytest.mark.parametrize("duty_cycle", [
+        {"analog_levels_v": {"a": 1.0}},
+        {"analog_levels_v": {"1.5": 1.0}},
+        {"analog_levels_v": [1.0]},
+        {"always_on_channels": 5},
+        {"always_on_channels": [1.5]},
+        {"always_on_channels": ["4"]},
+        {"always_on_channels": [True]},
+        {"cooling_channel": 1.5},
+        {"gate_channel": "2"},
+    ], ids=["text-key", "fraction-key", "list-of-levels", "not-a-list", "fraction",
+            "text", "bool", "fraction-cooling", "text-gate"])
+    def test_malformed_channels_report_the_section(self, duty_cycle):
+        with pytest.raises(ValidationError) as err:
+            config_from_dict({"duty_cycle": duty_cycle})
+        assert err.value.field == "duty_cycle"
+
     def test_fit_and_metrics_sections_rejected(self):
         # The fit and metrics commands take their settings as flags only.
         for section in ({"fit": {"model": "cross"}},

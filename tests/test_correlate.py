@@ -519,18 +519,18 @@ class TestReadHistogram:
         assert header == ("bin_center_ns,counts,g2,g2_err" if g_acc
                           else "bin_center_ns,counts")
 
-    @pytest.mark.parametrize("damage", ["missing", "key", "json", "text"])
+    @pytest.mark.parametrize("damage", ["missing", "key", "json", "text", "bool"])
     def test_missing_or_malformed_sidecar_rejected(self, tmp_path, damage):
         _, path = _exported(tmp_path)
         sidecar = tmp_path / "h.csv.meta.json"
         if damage == "missing":
             sidecar.unlink()
-        elif damage in ("key", "text"):
+        elif damage in ("key", "text", "bool"):
             meta = json.loads(sidecar.read_text())
             if damage == "key":
                 del meta["n_a"]
             else:
-                meta["n_a"] = "91234"
+                meta["n_a"] = "91234" if damage == "text" else True
             sidecar.write_text(json.dumps(meta))
         else:
             sidecar.write_text(sidecar.read_text()[:-2])
