@@ -157,14 +157,20 @@ def _print_fit(result):
           + ", ".join(bits) + f"; reduced chi2 {result.reduced_chi2:.4g}")
 
 
+def _scan_column(rows, name):
+    """One column of an absorption scan's rows, as floats."""
+    try:
+        return np.array([float(row[name]) for row in rows])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"missing or not a number ({exc!r})", field=name) from None
+
+
 def cmd_od_fit(args) -> int:
     with open(args.input, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+        rows = list(csv.DictReader(fh))
     if not rows:
         raise ValidationError("absorption scan CSV is empty", field=str(args.input))
-    x = np.array([float(r["detuning_mhz"]) for r in rows])
-    y = np.array([float(r["transmission"]) for r in rows])
+    x, y = _scan_column(rows, "detuning_mhz"), _scan_column(rows, "transmission")
     sigma = np.full_like(y, args.noise if args.noise else max(float(np.std(y)) * 0.05, 1e-4))
     p0 = initial_guess(x, y, ModelKind.ABSORPTION_OD)
     free = ("od", "center", "gamma") if args.free_gamma else None

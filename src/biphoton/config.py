@@ -50,7 +50,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     unknown = set(data) - set(fields)
     if unknown:
         raise ValidationError(f"unknown section(s) {sorted(unknown)}", field="")
-    if not isinstance(data.get("seed", 1), int):
+    if type(data.get("seed", 1)) is not int:  # not a bool, an int subclass
         raise ValidationError("seed must be an integer", field="seed")
     return ExperimentConfig(**{
         name: value if name == "seed"

@@ -2,10 +2,10 @@
 cross/auto correlation, and each histogram's accidental floor G_acc per
 bin from its own singles.
 
-``StreamCorrelator`` consumes time-ordered chunks, so a stream read through
-``StreamReader`` is histogrammed with memory bounded by the chunk size, not
-by the file size. Each tag is compared with the ones 1, 2, ... places
-before it until they are out of reach, never with itself.
+``cross_correlate`` feeds a ``StreamReader``'s time-ordered chunks to a
+``StreamCorrelator``, so a stream file is histogrammed with memory bounded
+by the chunk size, not by the file size. Each tag is compared with the ones
+1, 2, ... places before it until they are out of reach, never with itself.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tagio import PS_PER_NS, StreamReader, TagStream
+from .tagio import PS_PER_NS, StreamReader
 
 log = logging.getLogger("biphoton")
 
@@ -477,12 +477,12 @@ def _summed_searches(sorted_ps, keys_ps, offsets_ps, side):
     return total
 
 
-def cross_correlate(stream: TagStream | StreamReader,
+def cross_correlate(stream: StreamReader,
                     config: HistogramConfig) -> CorrelationHistogram:
-    """Correlate a whole stream fed chunk by chunk from ``stream.chunks()``:
-    a ``StreamReader``'s, with memory bounded by the chunk size, or a
-    ``TagStream``'s one chunk. Either checks the order of its chunks and
-    raises ``OrderingError`` when they are out of order.
+    """Correlate a whole stream fed chunk by chunk from ``stream.chunks()``,
+    with memory bounded by the reader's chunk size. The reader checks the
+    order of its chunks and raises ``OrderingError`` when they are out of
+    order.
 
     The live time T is the gated live time recorded in the stream header.
     Auto-correlation of one HBT arm is the same operation with the arm's

@@ -13,8 +13,8 @@ int64 array of half-open ``[start, end)`` ps windows.
 from __future__ import annotations
 
 import csv
-import operator
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +34,8 @@ class HardwareProfile:
     analog_channels: int = 2
 
     def __post_init__(self):
+        for f in fields(self):  # every field is an int
+            _integer(getattr(self, f.name), f.name)
         if self.slot_duration_us <= 0:
             raise ValidationError("must be positive", field="slot_duration_us")
         if self.ram_words <= 0:
@@ -63,28 +65,30 @@ class DutyCycleSpec:
     def __post_init__(self):
         if self.load_duration_us <= 0 or self.fwm_duration_us <= 0:
             raise ValidationError("durations must be positive", field="duration")
-        if self.cycles < 0:
+        if _integer(self.cycles, "cycles") < 0:
             raise ValidationError("must be non-negative", field="cycles")
         # Every channel is an integer; a JSON document gives the always-on
         # channels as a list and the analog levels' channels as string keys.
         try:
             for name in ("cooling_channel", "pump_channel", "gate_channel"):
-                _channel(getattr(self, name))
-            always_on = tuple(map(_channel, self.always_on_channels))
-            levels = {_channel(int(ch) if isinstance(ch, str) else ch): volts
+                _integer(getattr(self, name), "channels")
+            always_on = tuple(_integer(ch, "channels") for ch in self.always_on_channels)
+            levels = {_integer(int(ch) if isinstance(ch, str) else ch, "channels"): volts
                       for ch, volts in self.analog_levels_v.items()}
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValidationError(f"channels must be integers: {exc}",
                                   field="channels") from None
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in levels.values()):
+            raise ValidationError("levels must be numbers of volts", field="analog_levels_v")
         object.__setattr__(self, "always_on_channels", always_on)
         object.__setattr__(self, "analog_levels_v", levels)
 
 
-def _channel(value) -> int:
-    """A channel number, which must be an integer and not a bool."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a channel number")
-    return operator.index(value)
+def _integer(value, name) -> int:
+    """``value``, which must be an integer and not a bool, as an int."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValidationError(f"{value!r} is not an integer", field=name)
 
 
 @dataclass(frozen=True)

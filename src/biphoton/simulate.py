@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tagio import PS_PER_NS, TagStream, check_gates
+from .tagio import PS_PER_NS, check_gates
 
 PS_PER_S = 1_000_000_000_000
 NEWTON_TOL_NS = 1e-4
@@ -442,13 +442,12 @@ def detect(batch: np.ndarray, detector: Detector, block=slice(None), cut=None) -
     return times
 
 
-def split_hbt(stream: TagStream, source_channel: int, out_channels, seed) -> TagStream:
-    """50/50 beam-splitter: reroute one channel onto two detector channels."""
+def split_hbt(channels, source_channel: int, out_channels, seed) -> np.ndarray:
+    """50/50 beam-splitter: a copy of ``channels`` with each tag on
+    ``source_channel`` rerouted at random to one of ``out_channels``."""
     rng = np.random.default_rng(_seed_sequence(seed))
-    channels = stream.channels.copy()
+    channels = np.array(channels, np.uint8)
     m = channels == source_channel
     pick = rng.random(int(m.sum())) < 0.5
-    routed = np.where(pick, out_channels[0], out_channels[1]).astype(np.uint8)
-    channels[m] = routed
-    return TagStream(channels=channels, timestamps=stream.timestamps,
-                     header=stream.header, gates=stream.gates)
+    channels[m] = np.where(pick, out_channels[0], out_channels[1])
+    return channels

@@ -1,5 +1,4 @@
-"""Binary time-tag stream format and its batch/streaming writers and
-readers.
+"""Binary time-tag stream format and its streaming writer and reader.
 
 Byte layout (all little-endian):
 
@@ -24,9 +23,9 @@ Byte layout (all little-endian):
   timestamp in ps as 7 little-endian bytes.
 
 Timestamps are non-decreasing within a stream; 2**56 ps is about 20 hours.
-``check_order`` checks that once per path: ``StreamReader.chunks`` on the
-way in, ``TagStream.chunks`` for a stream built in memory and
-``StreamWriter`` on the way out; the layers past them trust it.
+Every stream is a file written by ``StreamWriter`` and read by
+``StreamReader``, and ``check_order`` checks the order once in each, on the
+way out and on the way in; the layers past them trust it.
 
 In memory, gate windows are one sorted, disjoint ``(n, 2)`` int64 array of
 half-open ``[start, end)`` ps windows, one row per window; ``check_gates``
@@ -35,9 +34,10 @@ builds and validates it, and the gate table on disk is its bytes as uint64.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,35 +79,19 @@ def check_gates(gates) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StreamHeader:
-    """The header fields that vary between streams. The version and the
-    tick each have one legal value, so the writer always packs ``VERSION``
-    and a 1 ps tick and the reader rejects any other."""
+    """The header fields that vary between streams, each checked to fit its
+    field. The version and the tick each have one legal value, so the writer
+    always packs ``VERSION`` and a 1 ps tick and the reader rejects any other."""
 
     channel_count: int = 2
     acquisition_seconds: float = 0.0
 
-
-@dataclass
-class TagStream:
-    """In-memory stream: parallel channel/timestamp arrays plus metadata."""
-
-    channels: np.ndarray  # uint8
-    timestamps: np.ndarray  # int64 ps
-    header: StreamHeader = field(default_factory=StreamHeader)
-    gates: np.ndarray | None = None  # (n, 2) int64, see check_gates
-
     def __post_init__(self):
-        self.gates = check_gates(self.gates)
-
-    def __len__(self):
-        return len(self.timestamps)
-
-    def chunks(self):
-        """The stream as its one (channels, timestamps) chunk, the form
-        ``StreamReader.chunks`` yields; raises ``OrderingError`` when the
-        records are out of order, as no reader has checked them."""
-        check_order(self.timestamps)
-        return [(self.channels, self.timestamps)]
+        if not 0 <= self.channel_count <= 0xFFFF:
+            raise ValidationError("must fit 16 bits, 0..65535", field="channel_count")
+        if not 0.0 <= self.acquisition_seconds < math.inf:
+            raise ValidationError("must be finite and non-negative",
+                                  field="acquisition_seconds")
 
 
 def check_order(timestamps, after=None):
@@ -148,15 +132,6 @@ def _gate_table_parts(gates: np.ndarray):
     if not len(gates):
         return []
     return [struct.pack("<I", len(gates)), np.ascontiguousarray(gates, "<i8")]
-
-
-def write_stream(stream: TagStream, sink) -> int:
-    """Serialize a ``TagStream`` with its header and gates through
-    ``StreamWriter``; returns the number of bytes written. ``sink`` is a
-    path or a binary file object."""
-    with StreamWriter(sink, stream.header, stream.gates) as writer:
-        writer.write(stream.channels, stream.timestamps)
-    return writer.bytes_written
 
 
 class StreamWriter:
@@ -234,7 +209,10 @@ def _parse_header(fh):
     if tick_ps != 1:
         # Every consumer takes timestamps as picoseconds.
         raise StreamFormatError(f"unsupported tick of {tick_ps} ps; only 1 ps is read")
-    header = StreamHeader(channel_count=channel_count, acquisition_seconds=acq_s)
+    try:
+        header = StreamHeader(channel_count=channel_count, acquisition_seconds=acq_s)
+    except ValidationError as exc:
+        raise StreamFormatError(f"bad header: {exc}") from None
     if not table_offset:
         return header, check_gates(None), HEADER_SIZE
     if table_offset != HEADER_SIZE:
@@ -318,22 +296,6 @@ class StreamReader:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def read_stream(source) -> TagStream:
-    """Read a whole stream into memory as a ``TagStream``; ``StreamReader``
-    iterates one in bounded chunks instead."""
-    with StreamReader(source) as reader:
-        n = len(reader)
-        channels = np.empty(n, np.uint8)
-        timestamps = np.empty(n, np.int64)
-        end = 0
-        for chunk_channels, chunk_timestamps in reader.chunks():
-            start, end = end, end + len(chunk_timestamps)
-            channels[start:end] = chunk_channels
-            timestamps[start:end] = chunk_timestamps
-        return TagStream(channels=channels, timestamps=timestamps,
-                         header=reader.header, gates=reader.gates)
 
 
 def total_gate_time_ps(gates) -> int:

@@ -1,7 +1,6 @@
 """Acceptance gate: one test per release criterion, each printing a
 single PASS/FAIL line (visible with pytest -s or on failure)."""
 
-import io
 import json
 import time
 import tracemalloc
@@ -22,8 +21,9 @@ from biphoton.pipeline import simulate_experiment
 from biphoton.sequence import (DutyCycleSpec, HardwareProfile, SequenceProgram,
                                Slot, compile_duty_cycle, emit_gates)
 from biphoton.simulate import SourceConfig, generate_chaotic_gated, split_hbt
-from biphoton.tagio import (StreamHeader, StreamReader, TagStream, read_stream,
-                            write_stream)
+from biphoton.tagio import StreamHeader, StreamReader
+
+from streams import read_arrays, stream_file
 
 
 def check(name, ok, detail):
@@ -111,10 +111,12 @@ CHAOTIC_PIPELINE = {
 
 
 def _auto_zero_g2(stream, source_channel, out_channels, seed):
-    split = split_hbt(stream, source_channel, out_channels, seed)
+    channels, timestamps, header = stream
+    split = stream_file(split_hbt(channels, source_channel, out_channels, seed),
+                        timestamps, header)
     cfg = HistogramConfig(bin_width=1.4, dt_min=-50, dt_max=50,
                           channel_a=out_channels[0], channel_b=out_channels[1])
-    hist = cross_correlate(split, cfg)
+    hist = cross_correlate(StreamReader(split), cfg)
     g_acc = hist.g_acc
     zero = int(np.argmin(np.abs(hist.bin_centers_ns())))
     # Conservative denominator: never below the coherent-light value.
@@ -137,7 +139,8 @@ def test_criterion_04_cauchy_schwarz(tmp_path):
     grid = np.linspace(-20, 60, 8001)
     g2_si = float(np.max(model_eval(ModelKind.CROSS_CONVOLVED,
                                     cross_fit.params, grid)))
-    stream = read_stream(path)  # the HBT split needs the stream in memory
+    with StreamReader(path) as reader:  # the HBT split needs the arrays
+        stream = (*read_arrays(reader), reader.header)
     g2_ss = _auto_zero_g2(stream, 0, (2, 3), seed=101)
     g2_ii = _auto_zero_g2(stream, 1, (4, 5), seed=102)
     pipeline = cauchy_schwarz(g2_si, g2_ss, g2_ii)
@@ -149,12 +152,11 @@ def test_criterion_04_cauchy_schwarz(tmp_path):
                        chaotic_grid_dt_ns=0.5)
     times = generate_chaotic_gated(src, "signal", [(0, int(duration_ns * 1000))],
                                    seed=13)
-    stream = TagStream(channels=np.zeros(len(times), np.uint8),
-                       timestamps=times,
-                       header=StreamHeader(acquisition_seconds=duration_ns * 1e-9))
+    stream = stream_file(np.zeros(len(times), np.uint8), times,
+                         StreamHeader(acquisition_seconds=duration_ns * 1e-9))
     cfg = HistogramConfig(bin_width=0.5, dt_min=-100, dt_max=100,
                           channel_a=0, channel_b=0)
-    auto = cross_correlate(stream, cfg)
+    auto = cross_correlate(StreamReader(stream), cfg)
     floor = rate ** 2 * cfg.bin_width * 1e-9 * duration_ns * 1e-9
     zero = int(np.argmin(np.abs(auto.bin_centers_ns())))
     g2_zero = float(auto.counts[zero]) / floor
@@ -204,10 +206,9 @@ def test_criterion_06_brute_force_correlator_equivalence():
         n = int(rng.integers(100, 10_001))
         ts = np.sort(rng.integers(0, 400_000, n)).astype(np.int64)
         ch = rng.integers(0, 2, n).astype(np.uint8)
-        stream = TagStream(channels=ch, timestamps=ts,
-                           header=StreamHeader(acquisition_seconds=4e-7))
+        stream = stream_file(ch, ts, StreamHeader(acquisition_seconds=4e-7))
         config = auto_cfg if i % 5 == 0 else cfg
-        fast = cross_correlate(stream, config).counts
+        fast = cross_correlate(StreamReader(stream), config).counts
         slow = brute_force_histogram(
             ch, ts, channel_a=config.channel_a, channel_b=config.channel_b,
             dt_min_ps=config.dt_min_ps, bin_width_ps=config.bin_width_ps,
@@ -284,12 +285,9 @@ def test_criterion_10_throughput():
     # Streaming reader stays memory-bounded regardless of file size.
     n_file = 4_000_000
     ts = np.sort(rng.integers(0, 1 << 48, n_file)).astype(np.int64)
-    stream = TagStream(channels=rng.integers(0, 2, n_file).astype(np.uint8),
-                       timestamps=ts, header=StreamHeader())
-    buf = io.BytesIO()
-    file_bytes = write_stream(stream, sink=buf)
-    del stream, ts
-    buf.seek(0)
+    buf = stream_file(rng.integers(0, 2, n_file).astype(np.uint8), ts)
+    file_bytes = buf.getbuffer().nbytes
+    del ts
     reader = StreamReader(buf, chunk_records=1 << 16)
     tracemalloc.start()
     n_read = sum(len(t) for _, t in reader.chunks())

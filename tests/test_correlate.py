@@ -14,7 +14,9 @@ from biphoton import correlate
 from biphoton.correlate import (CorrelationHistogram, HistogramConfig, StreamCorrelator,
                                 coincidence_rate, cross_correlate, read_histogram)
 from biphoton.errors import OrderingError, ValidationError
-from biphoton.tagio import StreamHeader, StreamReader, TagStream, write_stream
+from biphoton.tagio import StreamHeader, StreamReader
+
+from streams import stream_file
 
 # Thresholds under which every chunk is counted by one kernel.
 FORCED = {
@@ -30,22 +32,29 @@ def force_kernel(monkeypatch, kernel):
 
 
 def random_stream(rng, n, t_max_ps=2_000_000, n_channels=2):
+    """The channels and sorted timestamps of n tags in [0, t_max_ps)."""
     ts = np.sort(rng.integers(0, t_max_ps, n)).astype(np.int64)
     ch = rng.integers(0, n_channels, n).astype(np.uint8)
-    return TagStream(channels=ch, timestamps=ts,
-                     header=StreamHeader(acquisition_seconds=t_max_ps * 1e-12))
+    return ch, ts
 
 
-def feed_in_chunks(stream, config, size):
+def correlate_file(channels, timestamps, config, seconds=1.0, chunk_records=1 << 16):
+    """``cross_correlate`` of the stream file of these records, read in
+    chunks of ``chunk_records``."""
+    file = stream_file(channels, timestamps, StreamHeader(acquisition_seconds=seconds))
+    return cross_correlate(StreamReader(file, chunk_records), config)
+
+
+def feed_in_chunks(channels, timestamps, config, size):
     corr = StreamCorrelator(config)
-    for i in range(0, len(stream), size):
-        corr.feed(stream.channels[i:i + size], stream.timestamps[i:i + size])
-    return corr.finish(stream.header.acquisition_seconds)
+    for i in range(0, len(timestamps), size):
+        corr.feed(channels[i:i + size], timestamps[i:i + size])
+    return corr.finish(1.0)
 
 
-def brute(stream, config):
+def brute(channels, timestamps, config):
     return brute_force_histogram(
-        stream.channels, stream.timestamps,
+        channels, timestamps,
         channel_a=config.channel_a, channel_b=config.channel_b,
         dt_min_ps=config.dt_min_ps, bin_width_ps=config.bin_width_ps,
         n_bins=config.n_bins)
@@ -87,10 +96,7 @@ class TestHistogramConfig:
 class TestCorrelator:
     def test_single_pair_lands_in_expected_bin(self):
         cfg = HistogramConfig(bin_width=1.4, dt_min=-50, dt_max=350)
-        stream = TagStream(channels=np.array([0, 1], dtype=np.uint8),
-                           timestamps=np.array([1_000, 11_000], dtype=np.int64),
-                           header=StreamHeader(acquisition_seconds=1.0))
-        hist = cross_correlate(stream, cfg)
+        hist = correlate_file([0, 1], [1_000, 11_000], cfg)
         assert hist.total_coincidences == 1
         expected_bin = int((10_000 - cfg.dt_min_ps) // cfg.bin_width_ps)
         assert hist.counts[expected_bin] == 1
@@ -101,11 +107,11 @@ class TestCorrelator:
         auto = HistogramConfig(bin_width=1.4, dt_min=-50, dt_max=350,
                                channel_a=1, channel_b=1)
         for _ in range(5):
-            stream = random_stream(rng, 4000)
-            assert np.array_equal(cross_correlate(stream, cfg).counts,
-                                  brute(stream, cfg))
-            assert np.array_equal(cross_correlate(stream, auto).counts,
-                                  brute(stream, auto))
+            ch, ts = random_stream(rng, 4000)
+            assert np.array_equal(correlate_file(ch, ts, cfg).counts,
+                                  brute(ch, ts, cfg))
+            assert np.array_equal(correlate_file(ch, ts, auto).counts,
+                                  brute(ch, ts, auto))
 
     def test_auto_histogram_symmetric_with_zero_bin_excluded(self):
         rng = np.random.default_rng(3)
@@ -115,34 +121,32 @@ class TestCorrelator:
         cfg = HistogramConfig(bin_width=0.002, dt_min=-0.101, dt_max=0.101,
                               channel_a=0, channel_b=0)
         ts = 4 * np.sort(rng.integers(0, 2_000, 3000)).astype(np.int64)
-        stream = TagStream(channels=np.zeros(3000, np.uint8), timestamps=ts,
-                           header=StreamHeader(acquisition_seconds=8e-9))
-        counts = cross_correlate(stream, cfg).counts
+        counts = correlate_file(np.zeros(3000, np.uint8), ts, cfg, seconds=8e-9).counts
         assert counts.sum() > 0
         assert np.array_equal(counts, counts[::-1])
 
     def test_chunked_feeding_matches_batch(self):
+        # Read in chunks of 1, 7 and 2**16 records or as one chunk, the file
+        # gives one histogram.
         rng = np.random.default_rng(9)
         cfg = HistogramConfig()
-        stream = random_stream(rng, 5000)
-        batch = cross_correlate(stream, cfg)
-        for size in (1, 7, 100, 4999):
-            chunked = feed_in_chunks(stream, cfg, size)
+        ch, ts = random_stream(rng, 5000)
+        batch = correlate_file(ch, ts, cfg, chunk_records=len(ts))
+        assert batch.total_coincidences > 0
+        for size in (1, 7, 1 << 16):
+            chunked = correlate_file(ch, ts, cfg, chunk_records=size)
             assert np.array_equal(chunked.counts, batch.counts)
             assert (chunked.n_a, chunked.n_b) == (batch.n_a, batch.n_b)
 
     def test_unsorted_tag_stream_rejected(self):
-        # No reader has checked an in-memory stream: cross_correlate does.
-        stream = TagStream(channels=np.array([0, 1], np.uint8),
-                           timestamps=np.array([100, 50], np.int64))
+        # A file whose last two records are swapped: its reader raises.
+        raw = bytearray(stream_file([0, 1, 0], [50, 100, 150]).getvalue())
+        raw[-16:-8], raw[-8:] = raw[-8:], raw[-16:-8]
         with pytest.raises(OrderingError):
-            cross_correlate(stream, HistogramConfig())
+            cross_correlate(StreamReader(io.BytesIO(bytes(raw))), HistogramConfig())
 
     def test_empty_stream_gives_zero_histogram(self):
-        stream = TagStream(channels=np.zeros(0, np.uint8),
-                           timestamps=np.zeros(0, np.int64),
-                           header=StreamHeader(acquisition_seconds=1.0))
-        hist = cross_correlate(stream, HistogramConfig())
+        hist = correlate_file([], [], HistogramConfig())
         assert hist.total_coincidences == 0
 
     def test_finish_returns_counts_of_its_own(self):
@@ -171,28 +175,26 @@ class TestIsolatedTagPrefilter:
     # dt_min > 0: the window does not contain 0, and span = dt_end.
     LATE = HistogramConfig(bin_width=1.0, dt_min=5, dt_max=30)
 
-    def check(self, stream, cfg):
-        expected = brute(stream, cfg)
-        n_a = int(np.count_nonzero(stream.channels == cfg.channel_a))
-        n_b = int(np.count_nonzero(stream.channels == cfg.channel_b))
-        for size in (1, 2, 7, max(len(stream), 1)):
-            hist = feed_in_chunks(stream, cfg, size)
+    def check(self, channels, timestamps, cfg):
+        expected = brute(channels, timestamps, cfg)
+        n_a = int(np.count_nonzero(channels == cfg.channel_a))
+        n_b = int(np.count_nonzero(channels == cfg.channel_b))
+        for size in (1, 2, 7, max(len(timestamps), 1)):
+            hist = feed_in_chunks(channels, timestamps, cfg, size)
             assert np.array_equal(hist.counts, expected), size
             assert (hist.n_a, hist.n_b) == (n_a, n_b), size
 
     def check_all(self, channels, timestamps):
-        stream = TagStream(channels=np.asarray(channels, np.uint8),
-                           timestamps=np.asarray(timestamps, np.int64),
-                           header=StreamHeader(acquisition_seconds=1.0))
+        channels = np.asarray(channels, np.uint8)
+        timestamps = np.asarray(timestamps, np.int64)
         for cfg in (self.CROSS, self.AUTO, self.LATE):
-            self.check(stream, cfg)
+            self.check(channels, timestamps, cfg)
 
     def test_sparse_random_streams(self):
         rng = np.random.default_rng(5)
         for _ in range(4):
             # Mean spacing 100 ns against a 30 ns span: most tags are isolated.
-            stream = random_stream(rng, 300, t_max_ps=30_000_000, n_channels=3)
-            self.check_all(stream.channels, stream.timestamps)
+            self.check_all(*random_stream(rng, 300, t_max_ps=30_000_000, n_channels=3))
 
     def test_equal_timestamps(self):
         # Equal times on one channel, then across both, between isolated tags.
@@ -211,8 +213,7 @@ class TestIsolatedTagPrefilter:
         # Tags exactly span apart pair with nothing; span - 1 apart they may.
         ts = np.array([0, span, 10 * span, 11 * span - 1], np.int64)
         for channels in ([0, 1, 0, 1], [1, 0, 1, 0], [0, 0, 0, 0]):
-            self.check(TagStream(channels=np.array(channels, np.uint8),
-                                 timestamps=ts), cfg)
+            self.check(np.array(channels, np.uint8), ts, cfg)
 
     def test_isolated_tag_at_a_chunk_edge(self):
         # With chunks of 2 and 7, the isolated tag at 1 ms opens or closes a
@@ -253,8 +254,7 @@ def sweep_property():
         for ch, ts in zip(np.split(channels, bounds), np.split(timestamps, bounds)):
             corr.feed(ch, ts)
         hist = corr.finish(1.0)
-        stream = TagStream(channels=channels, timestamps=timestamps)
-        assert np.array_equal(hist.counts, brute(stream, cfg))
+        assert np.array_equal(hist.counts, brute(channels, timestamps, cfg))
         assert hist.n_a == np.count_nonzero(channels == pair[0])
         assert hist.n_b == np.count_nonzero(channels == pair[1])
 
@@ -275,13 +275,12 @@ class TestNeighbourSweep:
         rng = np.random.default_rng(17)
         ts = np.concatenate([[0], 1_000_000 + 100 * np.arange(200),
                              [1_030_000, 2_000_000]]).astype(np.int64)
-        stream = TagStream(channels=rng.integers(0, 2, len(ts)).astype(np.uint8),
-                           timestamps=ts)
+        ch = rng.integers(0, 2, len(ts)).astype(np.uint8)
         cfg = HistogramConfig(bin_width=0.5, dt_min=-20, dt_max=30,
                               channel_a=pair[0], channel_b=pair[1])
-        expected = brute(stream, cfg)
+        expected = brute(ch, ts, cfg)
         assert expected.sum() > 5000
-        assert np.array_equal(feed_in_chunks(stream, cfg, 3).counts, expected)
+        assert np.array_equal(feed_in_chunks(ch, ts, cfg, 3).counts, expected)
 
 
 class ForcedKernel:
@@ -342,51 +341,46 @@ class TestKernelChoice:
         regular = 100_000_000 + 12_000 * np.arange(200)
         dense = 200_000_000 + np.sort(rng.integers(0, 100_000, 400))
         ts = np.concatenate([sparse, regular, dense, 300_000_000 + sparse])
-        return TagStream(channels=rng.integers(0, 2, len(ts)).astype(np.uint8),
-                         timestamps=ts.astype(np.int64))
+        return rng.integers(0, 2, len(ts)).astype(np.uint8), ts.astype(np.int64)
 
-    def feed(self, stream, cfg, bounds):
+    def feed(self, channels, timestamps, cfg, bounds):
         corr = StreamCorrelator(cfg)
-        for ch, ts in zip(np.split(stream.channels, bounds),
-                          np.split(stream.timestamps, bounds)):
+        for ch, ts in zip(np.split(channels, bounds), np.split(timestamps, bounds)):
             corr.feed(ch, ts)
         return corr
 
     @pytest.mark.parametrize("cfg", [CROSS, AUTO])
     def test_chunks_of_each_density_take_their_kernel(self, cfg):
-        stream = self.crossing_stream()
-        corr = self.feed(stream, cfg, self.BOUNDS)
+        ch, ts = self.crossing_stream()
+        corr = self.feed(ch, ts, cfg, self.BOUNDS)
         assert corr.chunks_by_kernel == {"whole": 1, "gather": 2, "bin-edge": 1}
-        assert np.array_equal(corr.finish(1.0).counts, brute(stream, cfg))
+        assert np.array_equal(corr.finish(1.0).counts, brute(ch, ts, cfg))
 
     @pytest.mark.parametrize("cfg", [CROSS, AUTO])
     def test_random_splits_across_the_crossings(self, cfg):
-        stream = self.crossing_stream()
-        expected = brute(stream, cfg)
+        ch, ts = self.crossing_stream()
+        expected = brute(ch, ts, cfg)
         assert expected.sum() > 10_000
         rng = np.random.default_rng(34)
         for _ in range(20):
-            bounds = np.sort(rng.choice(np.arange(1, len(stream)),
+            bounds = np.sort(rng.choice(np.arange(1, len(ts)),
                                         rng.integers(1, 40), replace=False))
-            hist = self.feed(stream, cfg, bounds).finish(1.0)
+            hist = self.feed(ch, ts, cfg, bounds).finish(1.0)
             assert np.array_equal(hist.counts, expected), bounds
 
     @pytest.mark.parametrize("kernel", sorted(FORCED))
     def test_forced_thresholds_pick_one_kernel(self, kernel, monkeypatch):
         force_kernel(monkeypatch, kernel)
-        stream = self.crossing_stream()
-        bounds = np.arange(100, len(stream), 100)
-        corr = self.feed(stream, self.CROSS, bounds)
+        ch, ts = self.crossing_stream()
+        bounds = np.arange(100, len(ts), 100)
+        corr = self.feed(ch, ts, self.CROSS, bounds)
         assert corr.chunks_by_kernel[kernel] == len(bounds) + 1
-        assert np.array_equal(corr.finish(1.0).counts, brute(stream, self.CROSS))
+        assert np.array_equal(corr.finish(1.0).counts, brute(ch, ts, self.CROSS))
 
 
 class TestLogging:
     def test_one_debug_line_per_pass(self, caplog):
-        stream = random_stream(np.random.default_rng(4), 1000)
-        buf = io.BytesIO()
-        write_stream(stream, sink=buf)
-        buf.seek(0)
+        buf = stream_file(*random_stream(np.random.default_rng(4), 1000))
         with caplog.at_level(logging.DEBUG, logger="biphoton"):
             hist = cross_correlate(StreamReader(buf, chunk_records=100),
                                    HistogramConfig())
@@ -400,9 +394,9 @@ class TestLogging:
             assert f"'{kernel}'" in message
 
     def test_silent_at_warning(self, caplog):
-        stream = random_stream(np.random.default_rng(4), 1000)
+        ch, ts = random_stream(np.random.default_rng(4), 1000)
         with caplog.at_level(logging.WARNING, logger="biphoton"):
-            cross_correlate(stream, HistogramConfig())
+            correlate_file(ch, ts, HistogramConfig())
         assert caplog.records == []
 
 

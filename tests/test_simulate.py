@@ -15,9 +15,10 @@ from biphoton.pipeline import simulate_experiment, write_manifest
 from biphoton.simulate import (Detector, DetectorConfig, PairSource, SourceConfig,
                                detect, generate_chaotic_gated, generate_pairs,
                                split_hbt)
-from biphoton.tagio import StreamHeader, TagStream, read_stream
+from biphoton.tagio import StreamHeader, StreamReader
 
 from oracles import chaotic_on_grid, dead_time_mask
+from streams import read_arrays, stream_file
 
 PS = 1000  # ps per ns
 
@@ -43,15 +44,20 @@ def detect_all(batch, det, seed, gates=None):
     return detect(batch, Detector(det, len(batch), seed, gates))
 
 
+def auto_correlate(times_ps, duration_ns, cfg):
+    """``cross_correlate`` of one channel's tags, written to a stream file
+    with ``duration_ns`` of live time."""
+    header = StreamHeader(acquisition_seconds=duration_ns * 1e-9)
+    file = stream_file(np.zeros(len(times_ps), np.uint8), times_ps, header)
+    return cross_correlate(StreamReader(file), cfg)
+
+
 def positive_lag_g2(times_ps, duration_ns, bin_ns, max_ns):
     """g2 over [0, max_ns) lags, normalised by the sample's own rate, and
     its Poisson error per bin."""
-    stream = TagStream(channels=np.zeros(len(times_ps), np.uint8),
-                       timestamps=times_ps,
-                       header=StreamHeader(acquisition_seconds=duration_ns * 1e-9))
     cfg = HistogramConfig(bin_width=bin_ns, dt_min=0, dt_max=max_ns,
                           channel_a=0, channel_b=0)
-    counts = cross_correlate(stream, cfg).counts
+    counts = auto_correlate(times_ps, duration_ns, cfg).counts
     floor = len(times_ps) ** 2 * bin_ns / duration_ns
     return counts / floor, np.sqrt(counts) / floor
 
@@ -129,10 +135,7 @@ class TestChaoticGeneration:
         times = chaotic(src, "signal", duration_ns, seed=13)
         cfg = HistogramConfig(bin_width=0.5, dt_min=-200, dt_max=200,
                               channel_a=0, channel_b=0)
-        stream = TagStream(channels=np.zeros(len(times), np.uint8),
-                           timestamps=times,
-                           header=StreamHeader(acquisition_seconds=duration_ns * 1e-9))
-        hist = cross_correlate(stream, cfg)
+        hist = auto_correlate(times, duration_ns, cfg)
         centers = hist.bin_centers_ns()
         floor = rate ** 2 * cfg.bin_width * 1e-9 * duration_ns * 1e-9
         g2 = hist.counts / floor
@@ -427,16 +430,16 @@ class TestDetector:
 class TestSplitHbt:
     def test_conserves_tags_and_reroutes_channels(self):
         rng = np.random.default_rng(6)
-        ts = np.sort(rng.integers(0, 1_000_000, 5000)).astype(np.int64)
         ch = rng.integers(0, 2, 5000).astype(np.uint8)
-        stream = TagStream(channels=ch, timestamps=ts, header=StreamHeader())
-        out = split_hbt(stream, 0, (2, 3), seed=1)
-        assert np.array_equal(out.timestamps, ts)
+        before = ch.copy()
+        out = split_hbt(ch, 0, (2, 3), seed=1)
+        assert out.dtype == np.uint8
+        assert np.array_equal(ch, before)  # a copy: the input is left as it was
         mask = ch == 0
-        assert set(np.unique(out.channels[mask])) <= {2, 3}
-        assert np.array_equal(out.channels[~mask], ch[~mask])
+        assert set(np.unique(out[mask])) <= {2, 3}
+        assert np.array_equal(out[~mask], ch[~mask])
         # Roughly balanced split.
-        n2 = int((out.channels == 2).sum())
+        n2 = int((out == 2).sum())
         assert abs(n2 - mask.sum() / 2) < 4 * np.sqrt(mask.sum() / 4)
 
 
@@ -453,33 +456,35 @@ class TestPipeline:
     }
 
     def run(self, overrides=None):
-        """The run's manifest and its stream, read back."""
+        """The run's manifest, its stream's reader, and the stream's
+        channels and timestamps, read back."""
         data = {**self.CONFIG, **(overrides or {})}
         buf = io.BytesIO()
         manifest = simulate_experiment(config_from_dict(data), buf, config_hash="abc")
         buf.seek(0)
-        return manifest, read_stream(buf)
+        reader = StreamReader(buf)
+        return manifest, reader, *read_arrays(reader)
 
     def test_live_time_and_gate_count(self):
-        manifest, stream = self.run()
+        manifest, reader, _, _ = self.run()
         assert manifest["n_gates"] == 50
         assert manifest["live_time_s"] == pytest.approx(50 * 200e-6)
-        assert stream.header.acquisition_seconds == manifest["live_time_s"]
-        assert len(stream.gates) == 50
+        assert reader.header.acquisition_seconds == manifest["live_time_s"]
+        assert len(reader.gates) == 50
 
     def test_manifest_records_run_facts(self):
-        m, stream = self.run()
+        m, _, _, ts = self.run()
         assert m["seed"] == 42
         assert m["config_sha256"] == "abc"
-        assert m["n_tags"] == len(stream)
+        assert m["n_tags"] == len(ts)
         assert m["n_gates"] == 50
         assert m["channels"] == {"signal": 0, "idler": 1}
 
     def test_both_channels_populated_and_sorted(self):
-        _, stream = self.run()
-        assert np.all(np.diff(stream.timestamps) >= 0)
-        assert (stream.channels == 0).sum() > 0
-        assert (stream.channels == 1).sum() > 0
+        _, _, ch, ts = self.run()
+        assert np.all(np.diff(ts) >= 0)
+        assert (ch == 0).sum() > 0
+        assert (ch == 1).sum() > 0
 
     def test_bit_identical_reproducibility(self):
         bufs = []
@@ -493,20 +498,19 @@ class TestPipeline:
         assert other.getvalue() != bufs[0]
 
     def test_singles_rate_tracks_config(self):
-        manifest, stream = self.run()
+        manifest, _, channels, _ = self.run()
         t = manifest["live_time_s"]
         # Pairs at 5e4 * qe 0.6 plus chaotic floor 2e4 * 0.6 per channel.
         expected = (5e4 + 2e4) * 0.6 * t
         for ch in (0, 1):
-            n = int((stream.channels == ch).sum())
+            n = int((channels == ch).sum())
             assert abs(n - expected) < 6 * np.sqrt(expected)
 
     def test_signal_tag_comes_first_at_equal_times(self):
         # Ideal detectors and a 1 ps coherence time: most idlers land on
         # their signal's picosecond.
-        _, stream = self.run({"source": {"pair_rate": 5e4, "tau_c": 1e-3},
-                              "signal_detector": {}, "idler_detector": {}})
-        ts, ch = stream.timestamps, stream.channels
+        _, _, ch, ts = self.run({"source": {"pair_rate": 5e4, "tau_c": 1e-3},
+                                 "signal_detector": {}, "idler_detector": {}})
         tie = np.flatnonzero(ts[1:] == ts[:-1])
         assert len(tie) > 100
         assert np.all(ch[tie] <= ch[tie + 1])
@@ -515,7 +519,7 @@ class TestPipeline:
         buf = io.BytesIO()
         manifest = simulate_experiment(ExperimentConfig(), buf)
         buf.seek(0)
-        assert len(read_stream(buf)) == 0
+        assert read_arrays(StreamReader(buf))[1].size == 0
         assert manifest["n_tags"] == 0
         assert manifest["n_gates"] == 1
 

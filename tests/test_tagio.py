@@ -1,42 +1,43 @@
 import io
+import math
 import os
 import struct
 import subprocess
 import sys
-from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton import tagio
 from biphoton.errors import (CorruptionError, OrderingError, StreamFormatError,
                              ValidationError)
 from biphoton.sequence import (PS_PER_US, DutyCycleSpec, HardwareProfile,
                                compile_duty_cycle, emit_gates)
 from biphoton.tagio import (GATE_READ_WINDOWS, HEADER_SIZE, MAGIC, MAX_TIMESTAMP,
                             RECORD_SIZE, StreamHeader, StreamReader, StreamWriter,
-                            TagStream, _decode_records, check_gates, merge_records,
-                            read_stream, total_gate_time_ps, write_stream)
+                            _decode_records, check_gates, merge_records,
+                            total_gate_time_ps)
+
+from streams import read_arrays, stream_file
 
 
-def tag_stream(pairs, **kwargs):
-    """A ``TagStream`` of ``(channel, timestamp)`` pairs."""
-    return TagStream(channels=np.array([c for c, _ in pairs], dtype=np.uint8),
-                     timestamps=np.array([t for _, t in pairs], dtype=np.int64),
-                     **kwargs)
+def write_pairs(pairs, sink, header=None, gates=None):
+    """Write ``(channel, timestamp)`` pairs through one ``StreamWriter``;
+    returns the number of bytes written."""
+    with StreamWriter(sink, header, gates) as writer:
+        writer.write([c for c, _ in pairs], [t for _, t in pairs])
+    return writer.bytes_written
 
 
-def pairs_of(stream):
-    return list(zip(stream.channels.tolist(), stream.timestamps.tolist()))
+def pairs_file(pairs, header=None, gates=None):
+    """A rewound stream file of ``(channel, timestamp)`` pairs."""
+    return stream_file([c for c, _ in pairs], [t for _, t in pairs], header, gates)
 
 
-def roundtrip(stream):
-    buf = io.BytesIO()
-    write_stream(stream, sink=buf)
-    buf.seek(0)
-    return read_stream(buf)
+def pairs_of(reader):
+    channels, timestamps = read_arrays(reader)
+    return list(zip(channels.tolist(), timestamps.tolist()))
 
 
 class TestGolden:
@@ -50,23 +51,19 @@ class TestGolden:
         return header + payload
 
     def test_writer_produces_expected_bytes(self):
-        stream = tag_stream(self.RECORDS,
-                            header=StreamHeader(acquisition_seconds=1.25))
         buf = io.BytesIO()
-        n = write_stream(stream, sink=buf)
+        n = write_pairs(self.RECORDS, buf, StreamHeader(acquisition_seconds=1.25))
         assert buf.getvalue() == self.expected_bytes()
         assert n == HEADER_SIZE + 3 * RECORD_SIZE
 
     def test_reader_parses_expected_bytes(self):
-        stream = read_stream(io.BytesIO(self.expected_bytes()))
-        assert pairs_of(stream) == self.RECORDS
-        assert stream.header == StreamHeader(channel_count=2, acquisition_seconds=1.25)
+        reader = StreamReader(io.BytesIO(self.expected_bytes()))
+        assert pairs_of(reader) == self.RECORDS
+        assert reader.header == StreamHeader(channel_count=2, acquisition_seconds=1.25)
 
     def test_gate_table_layout(self):
         gates = [(100, 200), (300, 450)]
-        buf = io.BytesIO()
-        write_stream(tag_stream(self.RECORDS, gates=gates), sink=buf)
-        raw = buf.getvalue()
+        raw = pairs_file(self.RECORDS, gates=gates).getvalue()
         table_offset = struct.unpack_from("<Q", raw, 28)[0]
         assert table_offset == HEADER_SIZE
         count = struct.unpack_from("<I", raw, HEADER_SIZE)[0]
@@ -85,50 +82,40 @@ class TestGolden:
         expected = struct.pack("<I", 85_000) + b"".join(
             struct.pack("<QQ", (700 * i + 500) * PS_PER_US,
                         (700 * i + 700) * PS_PER_US) for i in range(85_000))
-        one = io.BytesIO()
-        write_stream(tag_stream(self.RECORDS, gates=gates), sink=one)
-        inc = io.BytesIO()
-        with StreamWriter(inc, gates=gates) as writer:
-            writer.write([c for c, _ in self.RECORDS],
-                         [t for _, t in self.RECORDS])
-        raw = one.getvalue()
-        assert inc.getvalue() == raw
+        raw = pairs_file(self.RECORDS, gates=gates).getvalue()
         assert struct.unpack_from("<Q", raw, 28)[0] == HEADER_SIZE
         assert raw[HEADER_SIZE:HEADER_SIZE + len(expected)] == expected
-        back = read_stream(io.BytesIO(raw))
+        back = StreamReader(io.BytesIO(raw))
         assert np.array_equal(back.gates, gates)
         assert pairs_of(back) == self.RECORDS
 
 
 class TestRoundTrip:
     def test_empty_stream(self):
-        stream = tag_stream([])
-        back = roundtrip(stream)
-        assert len(back) == 0
-        assert back.header == stream.header
+        back = StreamReader(pairs_file([]))
+        assert pairs_of(back) == []
+        assert back.header == StreamHeader()
 
     def test_large_random_roundtrip(self):
         rng = np.random.default_rng(5)
         n = 1_000_000
         ts = np.sort(rng.integers(0, 1 << 40, n)).astype(np.int64)
         ch = rng.integers(0, 4, n).astype(np.uint8)
-        stream = TagStream(channels=ch, timestamps=ts,
-                           header=StreamHeader(channel_count=4))
-        back = roundtrip(stream)
-        assert np.array_equal(back.timestamps, ts)
-        assert np.array_equal(back.channels, ch)
+        back = StreamReader(stream_file(ch, ts, StreamHeader(channel_count=4)))
+        back_ch, back_ts = read_arrays(back)
+        assert np.array_equal(back_ts, ts)
+        assert np.array_equal(back_ch, ch)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, (1 << 56) - 1)),
                     max_size=200))
     def test_roundtrip_property(self, pairs):
         pairs.sort(key=lambda p: p[1])
-        back = roundtrip(tag_stream(pairs))
-        assert pairs_of(back) == pairs
+        assert pairs_of(StreamReader(pairs_file(pairs))) == pairs
 
     @settings(max_examples=50, deadline=None)
     @given(channel_count=st.integers(0, (1 << 16) - 1),
-           seconds=st.floats(allow_nan=False, allow_infinity=False),
+           seconds=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
            steps=st.lists(st.tuples(st.integers(0, 1 << 40), st.integers(1, 1 << 40)),
                           max_size=20),
            pairs=st.lists(st.tuples(st.integers(0, 255), st.integers(0, MAX_TIMESTAMP)),
@@ -140,20 +127,16 @@ class TestRoundTrip:
         gates = np.cumsum(np.array(steps, np.int64).reshape(-1)).reshape(-1, 2)
         pairs.sort(key=lambda p: p[1])
         header = StreamHeader(channel_count=channel_count, acquisition_seconds=seconds)
-        buf = io.BytesIO()
-        with StreamWriter(buf, header, gates) as writer:
-            writer.write([c for c, _ in pairs], [t for _, t in pairs])
-        reader = StreamReader(io.BytesIO(buf.getvalue()), chunk_records=chunk_records)
+        reader = StreamReader(pairs_file(pairs, header, gates),
+                              chunk_records=chunk_records)
         streamed = [p for c, t in reader.chunks() for p in zip(c.tolist(), t.tolist())]
-        back = read_stream(io.BytesIO(buf.getvalue()))
-        for got in (reader, back):
-            assert got.header == header
-            assert np.array_equal(got.gates, gates)
-        assert streamed == pairs_of(back) == pairs
+        assert reader.header == header
+        assert np.array_equal(reader.gates, gates)
+        assert streamed == pairs
 
     def test_gates_roundtrip(self):
         gates = [(0, 10), (20, 35)]
-        back = roundtrip(tag_stream(self.records(), gates=gates))
+        back = StreamReader(pairs_file(self.records(), gates=gates))
         assert np.array_equal(back.gates, gates)
 
     @staticmethod
@@ -164,7 +147,7 @@ class TestRoundTrip:
 class TestValidation:
     def test_unsorted_records_rejected(self):
         with pytest.raises(OrderingError):
-            write_stream(tag_stream([(0, 10), (0, 5)]), sink=io.BytesIO())
+            pairs_file([(0, 10), (0, 5)])
 
     @staticmethod
     def hand_written(timestamps):
@@ -173,8 +156,6 @@ class TestValidation:
 
     def test_reader_rejects_unsorted_records(self):
         raw = self.hand_written([500, 100])
-        with pytest.raises(OrderingError):
-            read_stream(io.BytesIO(raw))
         with pytest.raises(OrderingError):
             list(StreamReader(io.BytesIO(raw)).chunks())
 
@@ -196,7 +177,7 @@ class TestValidation:
 
     def test_timestamp_range_rejected(self):
         with pytest.raises(ValidationError):
-            write_stream(tag_stream([(0, 1 << 56)]), sink=io.BytesIO())
+            pairs_file([(0, 1 << 56)])
 
     @pytest.mark.parametrize("pairs, error", [
         ([(0, 10), (0, 5)], OrderingError),
@@ -208,17 +189,17 @@ class TestValidation:
         new = tmp_path / "new.tags"
         for path in (old, new):
             with pytest.raises(error):
-                write_stream(tag_stream(pairs), sink=path)
+                write_pairs(pairs, path)
         assert old.read_bytes() == bytes(range(100))
         assert not new.exists()
 
     def test_bad_magic(self):
         with pytest.raises(StreamFormatError):
-            read_stream(io.BytesIO(b"NOTMAGIC" + b"\0" * 40))
+            StreamReader(io.BytesIO(b"NOTMAGIC" + b"\0" * 40))
 
     def test_truncated_header(self):
         with pytest.raises(StreamFormatError):
-            read_stream(io.BytesIO(b"BIPHTAG\0short"))
+            StreamReader(io.BytesIO(b"BIPHTAG\0short"))
 
     def test_rejected_file_is_closed(self, tmp_path):
         # An unclosed file only warns when it is collected, so the check
@@ -228,14 +209,13 @@ class TestValidation:
         script = (
             "import gc\n"
             "from biphoton.errors import StreamFormatError\n"
-            "from biphoton.tagio import StreamReader, read_stream\n"
-            "for open_stream in (StreamReader, read_stream):\n"
-            "    try:\n"
-            f"        open_stream({str(path)!r})\n"
-            "    except StreamFormatError:\n"
-            "        gc.collect()\n"
-            "    else:\n"
-            "        raise SystemExit('no StreamFormatError')\n")
+            "from biphoton.tagio import StreamReader\n"
+            "try:\n"
+            f"    StreamReader({str(path)!r})\n"
+            "except StreamFormatError:\n"
+            "    gc.collect()\n"
+            "else:\n"
+            "    raise SystemExit('no StreamFormatError')\n")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         proc = subprocess.run([sys.executable, "-W", "error::ResourceWarning",
                                "-c", script], capture_output=True, text=True,
@@ -244,11 +224,10 @@ class TestValidation:
         assert "ResourceWarning" not in proc.stderr
 
     def test_truncated_record_reports_offset(self):
-        buf = io.BytesIO()
-        write_stream(tag_stream([(0, 100), (1, 200)]), sink=buf)
-        damaged = buf.getvalue()[:-1]  # drop one byte of the last record
+        raw = pairs_file([(0, 100), (1, 200)]).getvalue()
+        damaged = raw[:-1]  # drop one byte of the last record
         with pytest.raises(CorruptionError) as err:
-            read_stream(io.BytesIO(damaged))
+            list(StreamReader(io.BytesIO(damaged)).chunks())
         assert err.value.offset == HEADER_SIZE + RECORD_SIZE
 
     @pytest.mark.parametrize("count, table_bytes, offset", [
@@ -260,7 +239,7 @@ class TestValidation:
         path = tmp_path / "table.tags"
         path.write_bytes(self.table_header(count) + bytes(range(table_bytes)))
         with pytest.raises(CorruptionError) as err:
-            read_stream(path)
+            StreamReader(path)
         assert err.value.offset == offset
 
     def test_gate_table_is_read_in_bounded_pieces(self):
@@ -272,7 +251,7 @@ class TestValidation:
                 return super().read(n)
 
         with pytest.raises(CorruptionError):
-            read_stream(Recording(self.table_header(0xFFFFFFFF) + b"\0" * 48))
+            StreamReader(Recording(self.table_header(0xFFFFFFFF) + b"\0" * 48))
         assert 0 <= min(sizes) and max(sizes) <= 16 * GATE_READ_WINDOWS
 
     @staticmethod
@@ -283,16 +262,36 @@ class TestValidation:
     def test_unsupported_version(self):
         header = struct.pack("<8sHHIHHdQQI", MAGIC, 99, 0, 1, 2, 0, 0.0, 0, 0, 0)
         with pytest.raises(StreamFormatError):
-            read_stream(io.BytesIO(header))
+            StreamReader(io.BytesIO(header))
 
     def test_tick_other_than_one_ps_rejected(self):
         # A 2 ps/tick file: read as ps, its delays would come out halved.
         header = struct.pack("<8sHHIHHdQQI", MAGIC, 1, 0, 2, 2, 0, 0.0, 0, 0, 0)
         raw = header + struct.pack("<QQ", 500 << 8, (700 << 8) | 1)
         with pytest.raises(StreamFormatError, match="tick"):
-            read_stream(io.BytesIO(raw))
-        with pytest.raises(StreamFormatError, match="tick"):
             StreamReader(io.BytesIO(raw))
+
+
+class TestHeaderChecks:
+    """The header's fields are checked on the way out and on the way in."""
+
+    @pytest.mark.parametrize("fields", [
+        {"channel_count": 70_000}, {"channel_count": -1},
+        {"acquisition_seconds": math.nan}, {"acquisition_seconds": math.inf},
+        {"acquisition_seconds": -1.0},
+    ], ids=["count-past-u16", "negative-count", "nan", "inf", "negative-time"])
+    def test_writer_rejects_a_header_outside_its_fields(self, fields):
+        with pytest.raises(ValidationError, match=next(iter(fields))):
+            StreamWriter(io.BytesIO(), StreamHeader(**fields))
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -1.0])
+    def test_reader_rejects_a_stored_live_time(self, seconds):
+        raw = bytearray(pairs_file([(0, 5)], StreamHeader(acquisition_seconds=2.0))
+                        .getvalue())
+        assert struct.unpack_from("<d", raw, 20) == (2.0,)
+        raw[20:28] = struct.pack("<d", seconds)
+        with pytest.raises(StreamFormatError, match="acquisition_seconds"):
+            StreamReader(io.BytesIO(bytes(raw)))
 
 
 class TestCheckGates:
@@ -317,8 +316,6 @@ class TestCheckGates:
 
     def test_writers_reject_a_negative_bound(self):
         with pytest.raises(ValidationError):
-            write_stream(tag_stream([(0, 5)], gates=[(-5, 10)]), sink=io.BytesIO())
-        with pytest.raises(ValidationError):
             StreamWriter(io.BytesIO(), gates=[(-5, 10)])
 
     def test_total_gate_time(self):
@@ -331,10 +328,7 @@ class TestStreaming:
         rng = np.random.default_rng(seed)
         ts = np.sort(rng.integers(0, 1 << 40, n)).astype(np.int64)
         ch = rng.integers(0, 2, n).astype(np.uint8)
-        buf = io.BytesIO()
-        write_stream(TagStream(channels=ch, timestamps=ts), sink=buf)
-        buf.seek(0)
-        return buf, ch, ts
+        return stream_file(ch, ts), ch, ts
 
     def test_streaming_equals_batch(self):
         buf, ch, ts = self.build()
@@ -351,9 +345,7 @@ class TestStreaming:
         assert sum(sizes) == 10_000
 
     def test_incremental_writer_matches_one_shot(self):
-        _, ch, ts = self.build()
-        one = io.BytesIO()
-        write_stream(TagStream(channels=ch, timestamps=ts), sink=one)
+        one, ch, ts = self.build()
         inc = io.BytesIO()
         with StreamWriter(inc) as writer:
             for i in range(0, len(ts), 999):
@@ -405,18 +397,6 @@ class TestDecodeRecords:
         assert channels[:3].tolist() == [255, 255, 0]
         assert timestamps[:3].tolist() == [0, MAX_TIMESTAMP, MAX_TIMESTAMP]
 
-    @pytest.mark.parametrize("pairs", [
-        [], [(0, 5)], [(0, 5), (255, 9), (1, MAX_TIMESTAMP)]])
-    def test_read_stream_arrays_are_contiguous_and_writable(self, pairs):
-        buf = io.BytesIO()
-        write_stream(tag_stream(pairs), sink=buf)
-        buf.seek(0)
-        back = read_stream(buf)
-        assert pairs_of(back) == pairs
-        for arr, dtype in ((back.channels, np.uint8), (back.timestamps, np.int64)):
-            assert arr.dtype == dtype
-            assert arr.flags.c_contiguous and arr.flags.writeable
-
 
 class TestChunkLifetime:
     def test_chunks_share_the_readers_buffers(self):
@@ -425,28 +405,3 @@ class TestChunkLifetime:
         first, second = next(chunks), next(chunks)
         assert np.shares_memory(first[0], second[0])
         assert np.shares_memory(first[1], second[1])
-
-    def test_read_stream_arrays_are_its_own(self, monkeypatch):
-        seen = []
-
-        class Recording(StreamReader):
-            def chunks(self):
-                for chunk in super().chunks():
-                    seen.append(chunk)
-                    yield chunk
-
-        monkeypatch.setattr(tagio, "StreamReader", Recording)
-        buf, _, _ = TestStreaming().build(n=1000)
-        back = read_stream(buf)
-        assert len(seen) == 1
-        assert not np.shares_memory(back.channels, seen[0][0])
-        assert not np.shares_memory(back.timestamps, seen[0][1])
-
-    @pytest.mark.parametrize("chunk_records", [1, 7, 1 << 16])
-    def test_read_stream_returns_what_was_written(self, monkeypatch, chunk_records):
-        monkeypatch.setattr(tagio, "StreamReader",
-                            partial(StreamReader, chunk_records=chunk_records))
-        buf, ch, ts = TestStreaming().build(n=1000)
-        back = read_stream(buf)
-        assert np.array_equal(back.channels, ch)
-        assert np.array_equal(back.timestamps, ts)
