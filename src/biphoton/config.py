@@ -1,8 +1,8 @@
 """Experiment configuration document: one JSON file per run.
 
-Sections mirror the module types; unknown keys are rejected with the full
-field path so typos fail loudly. The raw bytes of the document are hashed
-into the run manifest for auditability.
+Sections mirror the module types, which check each field against its
+annotation; unknown keys and bad values are rejected with the section's
+path. The raw bytes of the document are hashed into the run manifest.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .correlate import HistogramConfig
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 from .sequence import DutyCycleSpec, HardwareProfile
 from .simulate import DetectorConfig, SourceConfig
 
@@ -28,6 +28,9 @@ class ExperimentConfig:
     hardware: HardwareProfile = field(default_factory=HardwareProfile)
     histogram: HistogramConfig = field(default_factory=HistogramConfig)
 
+    def __post_init__(self):
+        check_fields(self)
+
 
 def _build_section(cls, data, path):
     if not isinstance(data, dict):
@@ -37,7 +40,7 @@ def _build_section(cls, data, path):
         raise ValidationError(f"unknown key(s) {sorted(unknown)}", field=path)
     try:
         return cls(**data)
-    except (ValidationError, TypeError) as exc:
+    except ValidationError as exc:
         raise ValidationError(str(exc), field=path) from exc
 
 
@@ -50,8 +53,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     unknown = set(data) - set(fields)
     if unknown:
         raise ValidationError(f"unknown section(s) {sorted(unknown)}", field="")
-    if type(data.get("seed", 1)) is not int:  # not a bool, an int subclass
-        raise ValidationError("seed must be an integer", field="seed")
     return ExperimentConfig(**{
         name: value if name == "seed"
         else _build_section(fields[name].default_factory, value, name)

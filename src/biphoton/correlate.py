@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 from .tagio import PS_PER_NS, StreamReader
 
 log = logging.getLogger("biphoton")
@@ -40,12 +40,11 @@ class HistogramConfig:
     channel_b: int = 1
 
     def __post_init__(self):
-        if self.bin_width <= 0:
-            raise ValidationError("bin_width must be positive", field="bin_width")
+        check_fields(self)
+        if self.bin_width_ps < 1:
+            raise ValidationError("bin_width must be at least 1 ps", field="bin_width")
         if not self.dt_min_ps < self.dt_max_ps:
             raise ValidationError("dt_min must be below dt_max", field="dt_min")
-        if self.bin_width_ps < 1:
-            raise ValidationError("bin_width below 1 ps", field="bin_width")
         for name in ("channel_a", "channel_b"):
             if getattr(self, name) not in range(256):
                 raise ValidationError("channel must be an integer in 0-255", field=name)
@@ -505,11 +504,10 @@ def cross_correlate(stream: StreamReader,
 
 def coincidence_rate(hist: CorrelationHistogram, window_ns: float) -> float:
     """Pair rate from the [0, window] delay span, less G_acc per bin."""
-    if window_ns <= 0:
-        raise ValidationError("window must be positive", field="window_ns")
     centers = hist.bin_centers_ns()
-    if window_ns > centers[-1]:
-        raise ValidationError("window exceeds histogram range", field="window_ns")
+    if not 0 < window_ns <= centers[-1]:
+        raise ValidationError("window must be positive and within the histogram range",
+                              field="window_ns")
     sel = (centers >= 0.0) & (centers <= window_ns)
     n_bins = int(sel.sum())
     if hist.duration_s <= 0:

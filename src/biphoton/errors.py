@@ -3,6 +3,12 @@
 Each class maps onto one stable CLI exit code (see ``biphoton.cli``).
 """
 
+import functools
+import math
+import numbers
+import types
+import typing
+
 
 class BiphotonError(Exception):
     """Base class for all toolkit errors."""
@@ -16,6 +22,42 @@ class ValidationError(BiphotonError):
         if field is not None:
             message = f"{field}: {message}"
         super().__init__(message)
+
+
+def check_fields(obj):
+    """Check each field of the dataclass ``obj`` against its annotation: an
+    ``int`` is an integer and a ``float`` a finite integer or real, neither
+    a bool; ``tuple[int, ...]`` takes a list or tuple of ints, stored as a
+    tuple; ``dict[int, float]`` takes int or integer-string keys, stored as
+    ints, and float values; ``X | None`` also takes None; any other class,
+    an instance of it. Numbers are stored as given. A value that fails
+    raises ``ValidationError`` naming its field."""
+    for name, hint in _hints(type(obj)).items():
+        object.__setattr__(obj, name, _checked(getattr(obj, name), hint, name))
+
+
+_hints = functools.cache(typing.get_type_hints)  # once per class
+
+
+def _checked(value, hint, name):
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # X | None
+        return value if value is None else _checked(value, args[0], name)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        return tuple(_checked(v, args[0], name) for v in value)
+    if origin is dict and isinstance(value, dict):
+        return {_checked(int(k) if isinstance(k, str) and k.removeprefix("-").isdecimal()
+                         else k, args[0], name): _checked(v, args[1], name)
+                for k, v in value.items()}
+    if hint in (int, float):  # a comparison with inf is False for NaN
+        ok = (isinstance(value, numbers.Integral if hint is int else numbers.Real)
+              and not isinstance(value, bool) and -math.inf < value < math.inf)
+    else:
+        ok = origin is None and isinstance(value, hint)
+    if not ok:
+        kind = {int: "an integer", float: "a finite number"}.get(hint, hint)
+        raise ValidationError(f"{value!r} is not {kind}", field=name)
+    return value
 
 
 class OrderingError(ValidationError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 
 RB_D2_LINEWIDTH_MHZ = 6.065  # natural linewidth, also the absorption-fit guess
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -103,6 +103,7 @@ class ODContext:
     area_cm2: float = 0.008  # probe beam area
 
     def __post_init__(self):
+        check_fields(self)
         if self.sigma0_cm2 <= 0 or self.area_cm2 <= 0:
             raise ValidationError("must be positive", field="sigma0/area")
 
@@ -118,15 +119,15 @@ class CauchyReport:
 
 def bandwidth_from_tau(tau_c_ns: float) -> float:
     """Single-photon bandwidth in MHz from the 1/e coherence time in ns."""
-    if tau_c_ns <= 0:
-        raise ValidationError("tau_c must be positive", field="tau_c_ns")
+    if not 0 < tau_c_ns < math.inf:
+        raise ValidationError("tau_c must be positive and finite", field="tau_c_ns")
     return 1e3 / (2.0 * math.pi * tau_c_ns)
 
 
 def spectral_brightness(coincidence_rate_hz: float, tau_c_ns: float) -> float:
     """Pairs per second per MHz of bandwidth: 2 pi tau_c r_c."""
-    if coincidence_rate_hz < 0:
-        raise ValidationError("rate must be non-negative", field="coincidence_rate_hz")
+    if not 0 <= coincidence_rate_hz < math.inf:
+        raise ValidationError("must be finite and non-negative", field="coincidence_rate_hz")
     return coincidence_rate_hz / bandwidth_from_tau(tau_c_ns)
 
 

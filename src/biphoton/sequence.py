@@ -13,12 +13,11 @@ int64 array of half-open ``[start, end)`` ps windows.
 from __future__ import annotations
 
 import csv
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, check_fields
 
 PS_PER_US = 1_000_000
 ANALOG_FULL_SCALE_V = 3.3
@@ -34,12 +33,10 @@ class HardwareProfile:
     analog_channels: int = 2
 
     def __post_init__(self):
-        for f in fields(self):  # every field is an int
-            _integer(getattr(self, f.name), f.name)
-        if self.slot_duration_us <= 0:
-            raise ValidationError("must be positive", field="slot_duration_us")
-        if self.ram_words <= 0:
-            raise ValidationError("must be positive", field="ram_words")
+        check_fields(self)
+        for name in ("slot_duration_us", "ram_words"):
+            if getattr(self, name) <= 0:
+                raise ValidationError("must be positive", field=name)
         if self.words_per_slot not in (1, 2, 4):
             raise ValidationError("must be 1, 2 or 4", field="words_per_slot")
 
@@ -60,35 +57,14 @@ class DutyCycleSpec:
     pump_channel: int = 1
     gate_channel: int = 2
     always_on_channels: tuple[int, ...] = ()
-    analog_levels_v: dict = field(default_factory=dict)  # channel -> volts
+    analog_levels_v: dict[int, float] = field(default_factory=dict)  # channel -> volts
 
     def __post_init__(self):
+        check_fields(self)
         if self.load_duration_us <= 0 or self.fwm_duration_us <= 0:
             raise ValidationError("durations must be positive", field="duration")
-        if _integer(self.cycles, "cycles") < 0:
+        if self.cycles < 0:
             raise ValidationError("must be non-negative", field="cycles")
-        # Every channel is an integer; a JSON document gives the always-on
-        # channels as a list and the analog levels' channels as string keys.
-        try:
-            for name in ("cooling_channel", "pump_channel", "gate_channel"):
-                _integer(getattr(self, name), "channels")
-            always_on = tuple(_integer(ch, "channels") for ch in self.always_on_channels)
-            levels = {_integer(int(ch) if isinstance(ch, str) else ch, "channels"): volts
-                      for ch, volts in self.analog_levels_v.items()}
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValidationError(f"channels must be integers: {exc}",
-                                  field="channels") from None
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in levels.values()):
-            raise ValidationError("levels must be numbers of volts", field="analog_levels_v")
-        object.__setattr__(self, "always_on_channels", always_on)
-        object.__setattr__(self, "analog_levels_v", levels)
-
-
-def _integer(value, name) -> int:
-    """``value``, which must be an integer and not a bool, as an int."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ValidationError(f"{value!r} is not an integer", field=name)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 from .tagio import PS_PER_NS, check_gates
 
 PS_PER_S = 1_000_000_000_000
@@ -65,6 +65,7 @@ class SourceConfig:
     chaotic_grid_dt_ns: float | None = None
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("pair_rate", "uncorrelated_rate_s", "uncorrelated_rate_i"):
             if getattr(self, name) < 0:
                 raise ValidationError("rates must be non-negative", field=name)
@@ -83,6 +84,7 @@ class DetectorConfig:
     dead_time: float = 0.0  # ns
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 <= self.quantum_efficiency <= 1.0:
             raise ValidationError("must be within [0, 1]", field="quantum_efficiency")
         for name in ("dark_rate", "jitter_sigma", "dead_time"):

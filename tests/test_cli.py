@@ -218,6 +218,30 @@ class TestEdgeCases:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, name", [
+        (["fit", "--input", "{hist}", "--model", "cross", "--coincidence-window", "nan"],
+         "window_ns"),
+        (["report", "--tau-c", "nan"], "tau_c_ns"),
+        (["report", "--tau-c", "4.4", "--rc", "nan"], "coincidence_rate_hz"),
+        (["report", "--tau-c", "inf", "--rc", "1e4"], "tau_c_ns"),
+        (["correlate", "--input", "{stream}", "--bin-width", "nan"], "bin_width"),
+        (["correlate", "--input", "{stream}", "--bin-width", "inf"], "bin_width"),
+        (["correlate", "--input", "{stream}", "--dt-max", "inf"], "dt_max"),
+        (["od-fit", "--input", "{scan}", "--sigma0", "nan"], "sigma0_cm2"),
+    ], ids=["fit-window-nan", "report-tau-nan", "report-rc-nan", "report-tau-inf",
+            "correlate-bin-nan", "correlate-bin-inf", "correlate-dt-max-inf",
+            "od-fit-sigma0-nan"])
+    def test_non_finite_flag_exits_2(self, workspace, tmp_path, capsys, argv, name):
+        scan = tmp_path / "scan.csv"
+        scan.write_text("detuning_mhz,transmission\n"
+                        + "".join(f"{x},{1 - 0.5 / (1 + x * x / 9)}\n" for x in range(-30, 31)))
+        paths = {"hist": workspace["hist"], "stream": workspace["stream"], "scan": scan}
+        out = tmp_path / "out"
+        argv = [arg.format(**paths) for arg in argv] + ["--out", str(out)]
+        assert main(argv) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fit_without_accidental_floor_exits_2(self, tmp_path):
         csv_path = tmp_path / "h.csv"
         csv_path.write_text("bin_center_ns,counts\n0.0,5\n1.0,3\n")
